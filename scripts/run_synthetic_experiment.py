@@ -26,7 +26,7 @@ DEFAULT_SCENARIO = {
     "n": 500,
     "k": 5,
     "beta": 1.0,
-    "density": 0.3,
+    "density": 0.2,  # K * ceil(density * N) disjoint supports must fit in N
     "t_train": 19,  # ceil(3 ln 500)
     "t_val": 19,
     "repetitions": 20,

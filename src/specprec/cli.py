@@ -66,12 +66,14 @@ def _load_input(args) -> dataset.DataMatrix:
 
 
 def _prepare(args):
-    data = _load_input(args)
-    data = dataset.center(data)
+    """Training data ready for the SVD, and the training mean and scale that
+    put validation columns on the same footing: (x - mean) / scale."""
+    data = dataset.center(_load_input(args))
+    mean, scale = data.mean, np.ones(data.n_vars)
     if args.standardize:
-        data = dataset.standardize(data)
-        data = dataset.center(data)
-    return data
+        scale, _ = dataset.row_scale(data)
+        data = dataset.center(dataset.standardize(data))
+    return data, mean, scale
 
 
 def _write_csv_rows(path, header, rows):
@@ -82,19 +84,19 @@ def _write_csv_rows(path, header, rows):
             writer.writerow(row)
 
 
-def _centered_validation(args, basis):
+def _centered_validation(args, mean, scale):
     val = dataset.load_csv(args.val, delimiter=args.delimiter,
                            has_header=args.has_header,
                            orientation=args.orientation)
-    if val.n_vars != basis.n_vars:
+    if val.n_vars != mean.size:
         raise DataError("validation data dimension mismatch",
-                        expected=basis.n_vars, got=val.n_vars)
-    return dataset.DataMatrix(values=val.values - basis.mean[:, None])
+                        expected=mean.size, got=val.n_vars)
+    return dataset.DataMatrix(values=(val.values - mean[:, None]) / scale[:, None])
 
 
 def cmd_fit(args) -> int:
     t0 = time.perf_counter()
-    data = _prepare(args)
+    data, mean, scale = _prepare(args)
     basis = spectral.thin_svd(data)
     selected = None
     if args.rho is not None:
@@ -105,7 +107,7 @@ def cmd_fit(args) -> int:
             raise UsageError("--rho-grid needs --val to select rho")
         path = spectral.solution_path(basis, grid, args.method)
         rho, _ = spectral.select_rho_by_validation(
-            path, _centered_validation(args, basis))
+            path, _centered_validation(args, mean, scale))
         selected = rho
     fit = (spectral.riccati_fit if args.method == "riccati"
            else spectral.tikhonov_fit)
@@ -161,13 +163,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_path(args) -> int:
-    data = _prepare(args)
+    data, mean, scale = _prepare(args)
     basis = spectral.thin_svd(data)
     grid = parse_rho_grid(args.rho_grid)
     path = spectral.solution_path(basis, grid, args.method)
     if args.val is not None:
         _, table = spectral.select_rho_by_validation(
-            path, _centered_validation(args, basis))
+            path, _centered_validation(args, mean, scale))
         scores = table[:, 1]
     else:
         scores = [float("nan")] * len(path)

@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import DataError, UsageError
 
-__all__ = ["DataMatrix", "load_csv", "write_csv", "center", "standardize", "split"]
+__all__ = ["DataMatrix", "load_csv", "write_csv", "center", "row_scale", "standardize",
+           "split"]
 
 _FLOAT_FMT = "%.17g"
 
@@ -148,16 +149,22 @@ def center(data: DataMatrix) -> DataMatrix:
                       zero_variance=data.zero_variance)
 
 
+def row_scale(data: DataMatrix) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The divisors ``standardize`` applies to centered rows, sqrt((1/T) sum x^2),
+    and the zero-variance rows, whose divisor is 1."""
+    if data.mean is None:
+        raise UsageError("standardizing requires centered data")
+    var = (data.values ** 2).sum(axis=1) / data.n_samples
+    flagged = tuple(int(i) for i in np.flatnonzero(var == 0.0))
+    return np.where(var > 0.0, np.sqrt(var), 1.0), flagged
+
+
 def standardize(data: DataMatrix) -> DataMatrix:
     """Scale centered rows to unit variance (divide-by-T convention).
 
     Zero-variance rows are left unscaled and reported in ``zero_variance``.
     """
-    if data.mean is None:
-        raise UsageError("standardize requires centered data")
-    var = (data.values ** 2).sum(axis=1) / data.n_samples
-    flagged = tuple(int(i) for i in np.flatnonzero(var == 0.0))
-    scale = np.where(var > 0.0, np.sqrt(var), 1.0)
+    scale, flagged = row_scale(data)
     return DataMatrix(values=data.values / scale[:, None],
                       mean=data.mean,
                       standardized=True,

@@ -54,12 +54,37 @@ def _is_sparse(a) -> bool:
     return sp.issparse(a)
 
 
+_ROW_BLOCK = 4096
+
+
 def _gram(a) -> np.ndarray:
-    """A^T A as a dense r x r array."""
-    g = a.T @ a
-    if _is_sparse(g):
-        g = g.toarray()
-    return np.asarray(g)
+    """A^T A as a dense r x r array.
+
+    A sparse A is densified one block of rows at a time and the products are
+    summed with dense BLAS, which is much faster than a sparse x sparse
+    product and never holds an N x r temporary.
+    """
+    if not _is_sparse(a):
+        return np.asarray(a.T @ a)
+    a = a.tocsr()
+    g = np.zeros((a.shape[1], a.shape[1]))
+    for lo in range(0, a.shape[0], _ROW_BLOCK):
+        block = a[lo:lo + _ROW_BLOCK].toarray()
+        g += block.T @ block
+    return g
+
+
+def _low_rank_top_eigval(a, diag_d: np.ndarray) -> float:
+    """Largest eigenvalue of A diag(-d) A^T for d <= 0, in O(N r^2).
+
+    Its nonzero spectrum is that of the r x r Gram matrix B^T B with
+    B = A sqrt(-d), so A diag(d) A^T + c I has every eigenvalue in
+    [c - mu, c] and is positive definite when c - mu > 0.
+    """
+    if diag_d.size == 0:
+        return 0.0
+    root = np.sqrt(-diag_d)
+    return float(np.linalg.eigvalsh(_gram(a) * root[:, None] * root[None, :]).max())
 
 
 def _row(a, n: int) -> np.ndarray:
@@ -79,7 +104,8 @@ class LowRankPrecision:
     ``orthonormal`` asserts A^T A = I (checked at construction), in which
     case positive definiteness reduces to c > 0 and d_t + c > 0 and is
     certified automatically.  Non-orthonormal models are only certified when
-    built by an operation that proves definiteness.
+    built by an operation that proves definiteness; ``load_model`` proves it
+    again for a stored one.
     """
 
     basis_a: object  # ndarray or scipy sparse, N x r
@@ -91,6 +117,9 @@ class LowRankPrecision:
     pd_certified: bool = False
 
     def __post_init__(self):
+        self._validate(basis_checked=False)
+
+    def _validate(self, basis_checked: bool):
         a = self.basis_a
         if not _is_sparse(a):
             a = np.asarray(a, dtype=np.float64)
@@ -112,7 +141,7 @@ class LowRankPrecision:
         if mean.shape != (n,):
             raise DataError("mean length must match N", n=n, got=mean.shape)
         if self.orthonormal:
-            if r > 0:
+            if r > 0 and not basis_checked:
                 g = _gram(self.basis_a)
                 if np.abs(g - np.eye(r)).max() > 1e-8:
                     raise NumericError("basis flagged orthonormal but A^T A != I",
@@ -132,15 +161,20 @@ class LowRankPrecision:
 
     @cached_property
     def logdet(self) -> float:
-        """log det Omega via the matrix determinant lemma (r x r work).
+        """log det Omega, computed once per model and shared by all likelihood
+        evaluations.
 
-        Computed once per model and shared by all likelihood evaluations.
+        An orthonormal basis gives the eigenvalues directly, so
+        log det = sum_t log(d_t + c) + (N - r) log c in O(r).  Any other
+        basis goes through the matrix determinant lemma (O(N r^2)).
         """
         if self.c <= 0.0:
             raise NumericError("log-determinant requires c > 0", c=self.c)
         n, r = self.basis_a.shape
         if r == 0:
             return n * np.log(self.c)
+        if self.orthonormal:
+            return float(np.log(self.diag_d + self.c).sum() + (n - r) * np.log(self.c))
         m = np.eye(r) + (_gram(self.basis_a) * self.diag_d[None, :]) / self.c
         sign, val = np.linalg.slogdet(m)
         if sign <= 0:
@@ -150,6 +184,23 @@ class LowRankPrecision:
     def _require_pd(self, op: str):
         if not self.pd_certified:
             raise NumericError(f"{op} requires a positive-definiteness-certified model")
+
+
+def _with_checked_basis(basis_a: np.ndarray, diag_d, c: float, mean,
+                        bounds: EigenBounds | None = None) -> LowRankPrecision:
+    """Orthonormal model over a float64 basis whose A^T A = I its caller has
+    already checked to 1e-8 or tighter (``SpectralBasis`` checks 1e-10).
+
+    Skips only the O(N r^2) Gram check; shapes and positive definiteness
+    are still validated, so a fit or path entry costs O(r).
+    """
+    model = object.__new__(LowRankPrecision)
+    for name, value in (("basis_a", basis_a), ("diag_d", diag_d), ("c", c),
+                        ("mean", mean), ("orthonormal", True), ("bounds", bounds),
+                        ("pd_certified", False)):
+        object.__setattr__(model, name, value)
+    model._validate(basis_checked=True)
+    return model
 
 
 def orthonormalize(model: LowRankPrecision) -> LowRankPrecision:
@@ -453,8 +504,15 @@ def load_model(path) -> LowRankPrecision:
                                  float(doc["bounds"]["beta"]))
         except (KeyError, TypeError, ValueError, NumericError) as exc:
             raise DataError("invalid bounds in model file", detail=str(exc)) from None
+    # a non-orthonormal model (a sparsified one) is certified again from its
+    # own arrays with the check sparsify_model makes, never from a stored flag
+    values = basis.data if sp.issparse(basis) else basis
+    certified = (not orthonormal and 0.0 < c < np.inf and np.all(diag <= 0.0)
+                 and np.isfinite(values).all()
+                 and c - _low_rank_top_eigval(basis, diag) > 0.0)
     try:
         return LowRankPrecision(basis_a=basis, diag_d=diag, c=c, mean=mean,
-                                orthonormal=orthonormal, bounds=bounds)
+                                orthonormal=orthonormal, bounds=bounds,
+                                pd_certified=bool(certified))
     except NumericError as exc:
         raise DataError("model file violates invariants", detail=exc.message) from None

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NumericError, UsageError
-from .model import EigenBounds, LowRankPrecision, materialize_dense
+from .model import EigenBounds, LowRankPrecision, _low_rank_top_eigval, materialize_dense
 
 __all__ = [
     "SparsifyReport",
@@ -66,18 +66,26 @@ class SparsifyReport:
 def _threshold(u, lam: float, mode: str) -> sp.csr_matrix:
     if lam < 0:
         raise UsageError("lambda must be nonnegative", lam=lam)
-    u = np.asarray(u, dtype=np.float64)
+    if mode not in ("soft", "hard"):
+        raise UsageError("mode must be 'soft' or 'hard'", mode=mode)
+    u = np.ascontiguousarray(u, dtype=np.float64)
     n, r = u.shape
     if r == 0:
         return sp.csr_matrix((n, 0))
     thr = lam / np.sqrt(n * r)
+    # the CSR arrays come straight from the kept entries of the row-major
+    # basis: flat index k is row k // r, column k % r, in CSR order
+    flat = u.reshape(-1)
+    kept = np.flatnonzero(np.abs(flat) > thr if mode == "soft" else np.abs(flat) >= thr)
+    vals = flat[kept]
     if mode == "soft":
-        w = np.sign(u) * np.maximum(0.0, np.abs(u) - thr)
-    elif mode == "hard":
-        w = np.where(np.abs(u) >= thr, u, 0.0)
-    else:
-        raise UsageError("mode must be 'soft' or 'hard'", mode=mode)
-    return sp.coo_matrix(w).tocsr()
+        vals = np.sign(vals) * (np.abs(vals) - thr)
+    elif thr == 0.0:  # a hard threshold of 0 keeps the zeros; CSR stores none
+        nonzero = vals != 0.0
+        kept, vals = kept[nonzero], vals[nonzero]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(kept // r, minlength=n), out=indptr[1:])
+    return sp.csr_matrix((vals, kept % r, indptr), shape=(n, r))
 
 
 def soft_threshold_basis(u, lam: float) -> sp.csr_matrix:
@@ -122,13 +130,10 @@ def sparsify_model(model: LowRankPrecision, lam: float, mode: str = "soft",
         u = u.toarray()
     sparse_u = _threshold(u, lam, mode)
     n, r = u.shape
-    # exact smallest eigenvalue: the low-rank part is -B B^T with
-    # B = U_sparse sqrt(-d), whose nonzero spectrum is that of the r x r
-    # Gram matrix B^T B; costs O(n r^2), never materializes n x n
+    # exact smallest eigenvalue beta - mu from the r x r Gram matrix of the
+    # low-rank part; costs O(n r^2), never materializes n x n
     if r:
-        b = sparse_u.multiply(np.sqrt(-d)[None, :]).tocsc()
-        gram = (b.T @ b).toarray()
-        lam_max = float(np.linalg.eigvalsh(gram).max())
+        lam_max = _low_rank_top_eigval(sparse_u, d)
         if lam_max > beta - alpha:
             # scaling the basis by s scales the Gram spectrum by s^2; this
             # pulls the smallest eigenvalue back up to alpha, keeps the

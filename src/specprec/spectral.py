@@ -16,7 +16,7 @@ import scipy.linalg
 
 from .dataset import DataMatrix
 from .errors import NumericError, UsageError
-from .model import EigenBounds, LowRankPrecision
+from .model import EigenBounds, LowRankPrecision, _with_checked_basis
 
 __all__ = [
     "SpectralBasis",
@@ -123,10 +123,10 @@ def thin_svd(data: DataMatrix) -> SpectralBasis:
         w, v = np.linalg.eigh(g)
         w = w[::-1]
         v = v[:, ::-1]
-        s = np.sqrt(np.clip(w, 0.0, None))
-        tol = max(n, t) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-        keep = s > tol
-        s = s[keep]
+        # the Gram eigenvalues carry rounding error of about eps * w[0], so
+        # the rank tolerance applies to them, not to their square roots
+        keep = w > max(n, t) * np.finfo(float).eps * w[0]
+        s = np.sqrt(w[keep])
         u = x @ (v[:, keep] / s[None, :])
         u = _cholesky_orthonormalize(u)
     else:
@@ -180,9 +180,8 @@ def _fit(basis: SpectralBasis, rho: float, method: str) -> LowRankPrecision:
     if rho <= 0:
         raise UsageError("rho must be positive", rho=rho)
     diag, c = _DIAG_MAPS[method](basis.cov_eigvals, rho)
-    return LowRankPrecision(basis_a=basis.basis_u, diag_d=diag, c=c,
-                            mean=basis.mean, orthonormal=True,
-                            bounds=eigen_bounds(basis.spec_norm_cov, rho, method))
+    return _with_checked_basis(basis.basis_u, diag, c, basis.mean,
+                               eigen_bounds(basis.spec_norm_cov, rho, method))
 
 
 def riccati_fit(basis: SpectralBasis, rho: float) -> LowRankPrecision:
@@ -209,12 +208,10 @@ class RegularizationPath:
         return self.rhos.size
 
     def model_at(self, i: int) -> LowRankPrecision:
-        """O(1) model extraction beyond sharing the basis."""
-        return LowRankPrecision(
-            basis_a=self.basis.basis_u, diag_d=self.diags[i], c=float(self.cs[i]),
-            mean=self.basis.mean, orthonormal=True,
-            bounds=eigen_bounds(self.basis.spec_norm_cov, float(self.rhos[i]),
-                                self.method))
+        """O(r) model extraction; the basis is shared, not copied or re-checked."""
+        return _with_checked_basis(
+            self.basis.basis_u, self.diags[i], float(self.cs[i]), self.basis.mean,
+            eigen_bounds(self.basis.spec_norm_cov, float(self.rhos[i]), self.method))
 
 
 def solution_path(basis: SpectralBasis, rhos, method: str = "riccati") -> RegularizationPath:
@@ -234,26 +231,32 @@ def solution_path(basis: SpectralBasis, rhos, method: str = "riccati") -> Regula
                               method=method)
 
 
-def _avg_loglik_centered(model: LowRankPrecision, z: np.ndarray) -> float:
-    """Average log-likelihood over columns already centered by the model mean."""
-    w = model.basis_a.T @ z
-    quad = np.einsum("rt,r,rt->t", w, model.diag_d, w) + model.c * (z * z).sum(axis=0)
-    return float(model.logdet - quad.mean())
-
-
 def select_rho_by_validation(path: RegularizationPath, val_data: DataMatrix):
     """Pick the rho maximizing average held-out log-likelihood.
 
     ``val_data`` must already be centered with the training mean.  Ties break
     toward larger rho (stronger regularization).
+
+    The path is scored in factored form, without building a model per rho.
+    The validation columns z_t are projected once, W = U^T Z, which with
+    ||z_t||^2 costs O(N r T_val).  Every grid point then costs O(r) through
+        log det = sum_r log(d_r + c) + (N - r) log c,
+        mean_t quad_t = sum_r d_r mean_t W_rt^2 + c mean_t ||z_t||^2.
     """
-    if val_data.n_vars != path.basis.n_vars:
+    basis = path.basis
+    if val_data.n_vars != basis.n_vars:
         raise UsageError("validation data dimension mismatch",
-                         expected=path.basis.n_vars, got=val_data.n_vars)
+                         expected=basis.n_vars, got=val_data.n_vars)
     z = val_data.values
-    scores = np.empty(len(path))
-    for i in range(len(path)):
-        scores[i] = _avg_loglik_centered(path.model_at(i), z)
+    n, r = basis.basis_u.shape
+    w = basis.basis_u.T @ z
+    w2_mean = (w * w).mean(axis=1)
+    zz_mean = np.einsum("nt,nt->", z, z) / z.shape[1]
+    eig = path.diags + path.cs[:, None]
+    if np.any(path.cs <= 0.0) or np.any(eig <= 0.0):
+        raise NumericError("a path entry is not positive definite")
+    logdets = np.log(eig).sum(axis=1) + (n - r) * np.log(path.cs)
+    scores = logdets - (path.diags @ w2_mean + path.cs * zz_mean)
     best = 0
     for i in range(1, len(path)):
         if scores[i] > scores[best] or (

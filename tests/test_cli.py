@@ -94,6 +94,34 @@ def test_fit_grid_selects_rho_by_validation(tmp_path):
     assert any(abs(report["rho"] - g) < 1e-12 for g in grid)
 
 
+def test_fit_standardize_scores_rho_on_standardized_validation(tmp_path):
+    from specprec import (DataMatrix, center, random_spiked, sample,
+                          select_rho_by_validation, solution_path, standardize,
+                          thin_svd, write_csv)
+
+    truth = random_spiked(400, 4, 1.0, 0.05, seed=3)
+    x = sample(truth, 50, "gaussian", seed=4).values
+    rng = np.random.default_rng(5)
+    x = rng.uniform(2.0, 12.0, (400, 1)) + rng.lognormal(0.0, 0.5, (400, 1)) * x
+    train, val = x[:, :35], x[:, 35:]
+    write_csv(DataMatrix(values=train), tmp_path / "train.csv")
+    write_csv(DataMatrix(values=val), tmp_path / "val.csv")
+    report_path = tmp_path / "r.json"
+    rc = main(["fit", "--input", str(tmp_path / "train.csv"),
+               "--val", str(tmp_path / "val.csv"), "--standardize",
+               "--output", str(tmp_path / "m.json"), "--report", str(report_path)])
+    assert rc == 0
+
+    # validation columns get the training mean and the training scale
+    centered = center(DataMatrix(values=train))
+    scale = np.sqrt((centered.values ** 2).mean(axis=1))
+    path = solution_path(thin_svd(center(standardize(centered))),
+                         parse_rho_grid(DEFAULT_RHO_GRID))
+    z_val = (val - centered.mean[:, None]) / scale[:, None]
+    rho, _ = select_rho_by_validation(path, DataMatrix(values=z_val))
+    assert json.loads(report_path.read_text())["rho"] == rho
+
+
 def test_fit_grid_without_val_is_usage_error(tmp_path, capsys):
     rc = main(["fit", "--input", SMALL, "--output", str(tmp_path / "m.json")])
     assert rc == EXIT_USAGE
@@ -253,6 +281,21 @@ def test_simulate_rejects_unknown_keys(tmp_path, capsys):
     rc = main(["simulate", "--scenario", str(scenario),
                "--output", str(tmp_path / "o.csv")])
     assert rc == EXIT_USAGE
+
+
+def test_synthetic_experiment_script_default_scenario(tmp_path, monkeypatch, capsys):
+    import importlib.util
+
+    script = Path(__file__).parent.parent / "scripts" / "run_synthetic_experiment.py"
+    spec = importlib.util.spec_from_file_location("run_synthetic_experiment", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setitem(module.DEFAULT_SCENARIO, "repetitions", 2)
+    out = tmp_path / "results.csv"
+    assert module.main(["--output", str(out)]) == 0
+    rows = read_csv_rows(out)
+    assert len(rows) == 1 + 2 * 3
+    assert "riccati" in capsys.readouterr().out
 
 
 def test_bench_small_grid(tmp_path):

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from specprec import (DataError, DataMatrix, EigenBounds, LowRankPrecision,
                       NumericError, UsageError, average_log_likelihood,
@@ -251,6 +252,32 @@ def test_save_load_roundtrip(tmp_path, rng):
     np.testing.assert_array_equal(back.mean, m.mean)
     assert back.c == m.c and back.orthonormal == m.orthonormal
     assert back.bounds == m.bounds
+
+
+def test_sparsified_model_roundtrip_keeps_certificate(tmp_path):
+    from specprec import center, riccati_fit, sparsify_model, thin_svd
+
+    # the hard-threshold instance that needs rescaling (see test_sparsify)
+    rng = np.random.default_rng(6)
+    basis = thin_svd(center(DataMatrix(values=rng.standard_normal((20, 5)))))
+    sparse, _ = sparsify_model(riccati_fit(basis, 0.4), 1.0, "hard")
+    assert sparse.pd_certified and not sparse.orthonormal
+    path = tmp_path / "sparse.json"
+    save_model(sparse, path)
+    back = load_model(path)
+    assert back.pd_certified and not back.orthonormal
+    assert sp.issparse(back.basis_a)
+    np.testing.assert_array_equal(back.basis_a.toarray(), sparse.basis_a.toarray())
+    np.testing.assert_array_equal(back.diag_d, sparse.diag_d)
+    np.testing.assert_array_equal(back.mean, sparse.mean)
+    assert back.c == sparse.c and back.bounds == sparse.bounds
+
+    # the certificate is recomputed from the arrays: an indefinite basis
+    # written in the same format loads uncertified
+    doc = json.loads(path.read_text())
+    doc["basis"]["vals"] = [10.0 * v for v in doc["basis"]["vals"]]
+    path.write_text(json.dumps(doc))
+    assert not load_model(path).pd_certified
 
 
 def test_load_minimal_isotropic(tmp_path):

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specprec import (DataMatrix, NumericError, UsageError, center,
-                      eigen_bounds, isotropic_fit, materialize_dense,
+from specprec import (DataMatrix, NumericError, UsageError,
+                      average_log_likelihood, center, eigen_bounds,
+                      isotropic_fit, materialize_dense,
                       riccati_fit, select_rho_by_validation, solution_path,
                       thin_svd, tikhonov_fit)
 from specprec.oracle import dense_riccati, dense_tikhonov, kkt_residual
@@ -60,6 +61,15 @@ def test_thin_svd_gram_path_matches_direct(rng):
     np.testing.assert_allclose(np.sort(b.cov_eigvals)[::-1], w,
                                rtol=1e-9, atol=1e-12)
     assert np.abs(b.basis_u.T @ b.basis_u - np.eye(b.rank)).max() <= 1e-10
+
+
+def test_thin_svd_gram_path_drops_null_direction(rng):
+    # centring leaves T columns of rank at most T - 1; the Gram path must not
+    # keep the rounding-noise direction that remains
+    for _ in range(5):
+        x = (rng.uniform(2.0, 12.0, (4096, 1))
+             + rng.lognormal(0.0, 1.0, (4096, 1)) * rng.standard_normal((4096, 48)))
+        assert thin_svd(center(DataMatrix(values=x))).rank <= 47
 
 
 def _basis_from_eigvals(d):
@@ -227,6 +237,55 @@ def test_select_rho_argmax(rng):
     best = table[np.argmax(table[:, 1]), 0]
     assert rho == best
     assert table[table[:, 0] == rho, 1][0] >= table[:, 1].max() - 1e-12
+
+
+@pytest.mark.parametrize("fit", [riccati_fit, tikhonov_fit])
+def test_orthonormal_logdet_matches_dense_slogdet(rng, fit):
+    for n, t in ((12, 5), (60, 9), (200, 20)):
+        b = thin_svd(centered_data(rng, n, t))
+        for rho in (1e-3, 0.1, 2.0):
+            m = fit(b, rho)
+            sign, ref = np.linalg.slogdet(materialize_dense(m))
+            assert sign > 0
+            assert abs(m.logdet - ref) <= 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("method", ["riccati", "tikhonov"])
+def test_select_rho_scores_equal_model_likelihoods(rng, method):
+    train = center(DataMatrix(values=rng.standard_normal((150, 12))
+                              + rng.uniform(-3.0, 3.0, (150, 1))))
+    raw_val = rng.standard_normal((150, 7)) + train.mean[:, None]
+    b = thin_svd(train)
+    path = solution_path(b, np.logspace(-3, 1, 15), method)
+    rho, table = select_rho_by_validation(
+        path, DataMatrix(values=raw_val - train.mean[:, None]))
+    expected = np.array([average_log_likelihood(path.model_at(i), raw_val)
+                         for i in range(len(path))])
+    np.testing.assert_array_equal(table[:, 0], path.rhos)
+    np.testing.assert_allclose(table[:, 1], expected, rtol=1e-12, atol=0.0)
+    best = max(range(len(path)), key=lambda i: (expected[i], path.rhos[i]))
+    assert rho == path.rhos[best]
+
+
+def test_fits_and_validation_reuse_the_basis_proof(rng, monkeypatch):
+    # SpectralBasis has proven U^T U = I; fits, path entries, validation and
+    # their log-determinants must not recompute the O(N r^2) Gram matrix
+    import specprec.model
+
+    b = thin_svd(centered_data(rng, 40, 8))
+    val = DataMatrix(values=rng.standard_normal((40, 5)))
+
+    def no_gram(a):
+        raise AssertionError("Gram matrix recomputed")
+
+    monkeypatch.setattr(specprec.model, "_gram", no_gram)
+    for fit, method in ((riccati_fit, "riccati"), (tikhonov_fit, "tikhonov")):
+        m = fit(b, 0.5)
+        assert m.orthonormal and m.pd_certified
+        average_log_likelihood(m, val.values)
+        path = solution_path(b, np.logspace(-2, 1, 5), method)
+        assert np.isfinite(path.model_at(2).logdet)
+        select_rho_by_validation(path, val)
 
 
 def test_select_rho_dimension_mismatch(rng):
