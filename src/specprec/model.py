@@ -93,6 +93,17 @@ def _row(a, n: int) -> np.ndarray:
     return np.asarray(a[n])
 
 
+def _column_max(x: np.ndarray) -> np.ndarray:
+    """Column maxima of a C-ordered array with few columns.
+
+    numpy reduces a narrow array over axis 0 one short row at a time, so the
+    rows are first folded 64 to one as a wide array when they divide evenly.
+    """
+    rows, r = x.shape
+    fold = 64 if rows % 64 == 0 else 1
+    return x.reshape(fold, -1).max(axis=0).reshape(-1, r).max(axis=0)
+
+
 def _squared(a):
     return a.multiply(a) if _is_sparse(a) else a * a
 
@@ -337,18 +348,34 @@ def screen_unimportant(model: LowRankPrecision, epsilon: float):
         raise UsageError("epsilon must be positive", epsilon=epsilon)
     a = model.basis_a
     n, r = a.shape
-    diag_prec = np.asarray((_squared(a) @ model.diag_d)).ravel() + model.c
+    if r == 0:
+        diag_prec = np.full(n, float(model.c))
+        numer = np.zeros(n)
+    elif _is_sparse(a):
+        diag_prec = np.asarray(_squared(a) @ model.diag_d).ravel() + model.c
+        a_abs = abs(a)
+        col_max = np.asarray(a_abs.max(axis=0).todense()).ravel()
+        numer = np.asarray(a_abs @ (np.abs(model.diag_d) * col_max)).ravel()
+    else:
+        # A dense basis is read in row blocks through one block-sized buffer,
+        # so no N x r temporary is built.  The first pass needs the column
+        # maxima before the second can weight |A| by them.
+        buf = np.empty((min(n, _ROW_BLOCK), r))
+        diag_prec = np.empty(n)
+        col_max = np.zeros(r)
+        for lo in range(0, n, _ROW_BLOCK):
+            block = a[lo:lo + _ROW_BLOCK]
+            tmp = np.abs(block, out=buf[:block.shape[0]])
+            np.maximum(col_max, _column_max(tmp), out=col_max)
+            diag_prec[lo:lo + _ROW_BLOCK] = np.multiply(tmp, tmp, out=tmp) @ model.diag_d + model.c
+        weight = np.abs(model.diag_d) * col_max
+        numer = np.empty(n)
+        for lo in range(0, n, _ROW_BLOCK):
+            block = a[lo:lo + _ROW_BLOCK]
+            numer[lo:lo + _ROW_BLOCK] = np.abs(block, out=buf[:block.shape[0]]) @ weight
     if diag_prec.min() <= 0.0:
         raise NumericError("non-positive diagonal precision entry; model not certified")
-    if r == 0:
-        q = np.zeros(n)
-    else:
-        a_abs = abs(a)
-        col_max = a_abs.max(axis=0)
-        if _is_sparse(a):
-            col_max = np.asarray(col_max.todense()).ravel()
-        numer = np.asarray(a_abs @ (np.abs(model.diag_d) * col_max)).ravel()
-        q = numer / np.sqrt(diag_prec * diag_prec.min())
+    q = numer / np.sqrt(diag_prec * diag_prec.min())
     unimportant = np.flatnonzero(q <= epsilon)
     return unimportant, q
 
