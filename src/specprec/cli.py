@@ -2,8 +2,9 @@
 
 Exit codes are stable: 0 success, 2 usage error, 3 data error, 4 numeric
 error.  Failures emit a machine-parsable JSON object on stderr.  All
-commands are deterministic given their flags and seed; BLAS threading is
-pinned to --threads (default 1) for reproducibility.
+commands are deterministic given their flags and seed.  The BLAS thread
+count follows the environment (OPENBLAS_NUM_THREADS / OMP_NUM_THREADS);
+set it to 1 where runs must repeat bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 import sys
 import time
 import tracemalloc
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -25,14 +25,6 @@ from .errors import DataError, NumericError, SpecprecError, UsageError
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-
-def _thread_limit(threads: int):
-    try:
-        from threadpoolctl import threadpool_limits
-        return threadpool_limits(limits=threads)
-    except ImportError:  # pragma: no cover - threadpoolctl ships with scipy stacks
-        return nullcontext()
 
 
 def parse_rho_grid(spec: str) -> np.ndarray:
@@ -112,7 +104,7 @@ def cmd_fit(args) -> int:
     fit = (spectral.riccati_fit if args.method == "riccati"
            else spectral.tikhonov_fit)
     fitted = fit(basis, rho)
-    model_mod.save_model_with_rho(fitted, args.output, rho=rho)
+    model_mod.save_model(fitted, args.output, rho=rho)
     wall = time.perf_counter() - t0
     report = {
         "method": args.method,
@@ -139,8 +131,6 @@ def cmd_fit(args) -> int:
 
 def cmd_eval(args) -> int:
     fitted = model_mod.load_model(args.model)
-    if not fitted.pd_certified:
-        fitted = model_mod.orthonormalize(fitted)
     data = dataset.load_csv(args.input, delimiter=args.delimiter,
                             has_header=args.has_header,
                             orientation=args.orientation)
@@ -198,8 +188,6 @@ def cmd_sparsify(args) -> int:
 
 def cmd_screen(args) -> int:
     fitted = model_mod.load_model(args.model)
-    if not fitted.pd_certified:
-        fitted = model_mod.orthonormalize(fitted)
     unimportant, q = model_mod.screen_unimportant(fitted, args.epsilon)
     with open(args.unimportant_out, "w", encoding="utf-8") as fh:
         for n in unimportant:
@@ -253,8 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specprec",
         description="Spectral inverse-covariance estimation for N >> T data.")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="BLAS thread cap (default 1 for reproducibility)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", help="fit a precision model from a CSV dataset")
@@ -266,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-grid", default=DEFAULT_RHO_GRID)
     p.add_argument("--val", help="validation CSV used to select rho from the grid")
     p.add_argument("--standardize", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     _add_io_flags(p)
     p.set_defaults(func=cmd_fit)
 
@@ -344,8 +329,7 @@ def main(argv=None) -> int:
         _emit_error(EXIT_USAGE, exc)
         return EXIT_USAGE
     try:
-        with _thread_limit(args.threads):
-            return args.func(args)
+        return args.func(args)
     except UsageError as exc:
         _emit_error(EXIT_USAGE, exc)
         return EXIT_USAGE

@@ -49,7 +49,7 @@ class ScenarioConfig:
         return cls(**doc)
 
 
-def _fit_and_score(basis, rho_grid, method, val_centered, p_cov, train_mean):
+def _fit_and_score(basis, rho_grid, method, val_centered, p_cov):
     t0 = time.perf_counter()
     path = spectral.solution_path(basis, rho_grid, method)
     rho, _ = spectral.select_rho_by_validation(path, val_centered)
@@ -77,7 +77,7 @@ def run_scenario(config: ScenarioConfig):
         p_cov = spiked.true_covariance(truth)
         for method in ("riccati", "tikhonov"):
             rho, kl, ms = _fit_and_score(basis, config.rho_grid, method,
-                                         val_c, p_cov, train_c.mean)
+                                         val_c, p_cov)
             rows.append((rep, method, rho, kl, ms))
         t0 = time.perf_counter()
         iso = spectral.isotropic_fit(basis)

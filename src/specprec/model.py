@@ -74,17 +74,45 @@ def _gram(a) -> np.ndarray:
     return g
 
 
+def _require_orthonormal(a, tol: float, what: str) -> None:
+    """Prove A^T A = I to ``tol`` in O(N r^2); a NaN deviation fails it."""
+    r = a.shape[1]
+    if r == 0:
+        return
+    dev = float(np.abs(_gram(a) - np.eye(r)).max())
+    if not dev <= tol:
+        raise NumericError(f"{what} is not orthonormal", deviation=dev, tol=tol)
+
+
+def _spectrum_logdet(n: int, diag_d, c):
+    """log det(U diag(d) U^T + c I) for an N x r orthonormal U, in O(r).
+
+    Refuses the matrix unless c and every d_t + c lie in (0, inf), a test NaN
+    fails; then log det = sum_t log(d_t + c) + (N - r) log c.  An (M, r)
+    ``diag_d`` with an (M,) ``c`` scores a whole path at once.
+    """
+    c = np.asarray(c, dtype=np.float64)
+    eig = np.asarray(diag_d) + c[..., None]
+    if not (np.all((0.0 < c) & (c < np.inf)) and np.all((0.0 < eig) & (eig < np.inf))):
+        raise NumericError("spectrum is not finite and positive")
+    return np.log(eig).sum(axis=-1) + (n - eig.shape[-1]) * np.log(c)
+
+
 def _low_rank_top_eigval(a, diag_d: np.ndarray) -> float:
     """Largest eigenvalue of A diag(-d) A^T for d <= 0, in O(N r^2).
 
     Its nonzero spectrum is that of the r x r Gram matrix B^T B with
     B = A sqrt(-d), so A diag(d) A^T + c I has every eigenvalue in
-    [c - mu, c] and is positive definite when c - mu > 0.
+    [c - mu, c] and is positive definite when c - mu > 0.  A non-finite
+    Gram is refused, since ``eigvalsh`` can return finite values for it.
     """
     if diag_d.size == 0:
         return 0.0
     root = np.sqrt(-diag_d)
-    return float(np.linalg.eigvalsh(_gram(a) * root[:, None] * root[None, :]).max())
+    g = _gram(a) * root[:, None] * root[None, :]
+    if not np.isfinite(g).all():
+        raise NumericError("basis or diagonal is not finite")
+    return float(np.linalg.eigvalsh(g).max())
 
 
 def _row(a, n: int) -> np.ndarray:
@@ -116,7 +144,7 @@ class LowRankPrecision:
     case positive definiteness reduces to c > 0 and d_t + c > 0 and is
     certified automatically.  Non-orthonormal models are only certified when
     built by an operation that proves definiteness; ``load_model`` proves it
-    again for a stored one.
+    again for a stored one.  The diagonal, c and the mean must be finite.
     """
 
     basis_a: object  # ndarray or scipy sparse, N x r
@@ -151,15 +179,12 @@ class LowRankPrecision:
             raise DataError("diag length must match basis width", r=r, got=d.shape)
         if mean.shape != (n,):
             raise DataError("mean length must match N", n=n, got=mean.shape)
+        if not (np.isfinite(self.c) and np.isfinite(d).all() and np.isfinite(mean).all()):
+            raise NumericError("diagonal, c and mean must be finite")
         if self.orthonormal:
-            if r > 0 and not basis_checked:
-                g = _gram(self.basis_a)
-                if np.abs(g - np.eye(r)).max() > 1e-8:
-                    raise NumericError("basis flagged orthonormal but A^T A != I",
-                                       deviation=float(np.abs(g - np.eye(r)).max()))
-            if self.c <= 0.0 or (r > 0 and np.min(d + self.c) <= 0.0):
-                raise NumericError("orthonormal model is not positive definite",
-                                   c=self.c)
+            if not basis_checked:
+                _require_orthonormal(self.basis_a, 1e-8, "model basis")
+            _spectrum_logdet(n, d, self.c)
             object.__setattr__(self, "pd_certified", True)
 
     @property
@@ -179,13 +204,11 @@ class LowRankPrecision:
         log det = sum_t log(d_t + c) + (N - r) log c in O(r).  Any other
         basis goes through the matrix determinant lemma (O(N r^2)).
         """
+        n, r = self.basis_a.shape
+        if self.orthonormal:
+            return float(_spectrum_logdet(n, self.diag_d, self.c))
         if self.c <= 0.0:
             raise NumericError("log-determinant requires c > 0", c=self.c)
-        n, r = self.basis_a.shape
-        if r == 0:
-            return n * np.log(self.c)
-        if self.orthonormal:
-            return float(np.log(self.diag_d + self.c).sum() + (n - r) * np.log(self.c))
         m = np.eye(r) + (_gram(self.basis_a) * self.diag_d[None, :]) / self.c
         sign, val = np.linalg.slogdet(m)
         if sign <= 0:
@@ -200,7 +223,8 @@ class LowRankPrecision:
 def _with_checked_basis(basis_a: np.ndarray, diag_d, c: float, mean,
                         bounds: EigenBounds | None = None) -> LowRankPrecision:
     """Orthonormal model over a float64 basis whose A^T A = I its caller has
-    already checked to 1e-8 or tighter (``SpectralBasis`` checks 1e-10).
+    already proven to 1e-8 or tighter (``SpectralBasis`` and ``SpikedModel``
+    prove 1e-10 with ``_require_orthonormal``).
 
     Skips only the O(N r^2) Gram check; shapes and positive definiteness
     are still validated, so a fit or path entry costs O(r).
@@ -453,28 +477,18 @@ def _model_to_dict(model: LowRankPrecision) -> dict:
     return doc
 
 
-def save_model(model: LowRankPrecision, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_model_to_dict(model), fh)
-        fh.write("\n")
-
-
-def save_model_with_rho(model: LowRankPrecision, path, rho: float) -> None:
-    """save_model plus the fitting rho, the default threshold for sparsify."""
+def save_model(model: LowRankPrecision, path, rho: float | None = None) -> None:
+    """Write a model as format_version 1 JSON, with the fitting ``rho`` (the
+    default threshold for sparsify) when given."""
     doc = _model_to_dict(model)
-    doc["rho"] = float(rho)
+    if rho is not None:
+        doc["rho"] = float(rho)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
         fh.write("\n")
 
 
-def load_model_with_rho(path):
-    """Load a model and the stored fitting rho (None when absent)."""
-    model = load_model(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    rho = doc.get("rho")
-    return model, (float(rho) if rho is not None else None)
+save_model_with_rho = save_model  # the older name
 
 
 def _load_basis(doc, n, r):
@@ -502,6 +516,11 @@ def _load_basis(doc, n, r):
 
 def load_model(path) -> LowRankPrecision:
     """Load and validate a model JSON file; invariant failures raise DataError."""
+    return load_model_with_rho(path)[0]
+
+
+def load_model_with_rho(path):
+    """Load a model and its stored fitting rho (None when absent)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -517,6 +536,7 @@ def load_model(path) -> LowRankPrecision:
         orthonormal = bool(doc["orthonormal"])
         mean = np.asarray(doc["mean"], dtype=np.float64)
         diag = np.asarray(doc["diag"], dtype=np.float64)
+        rho = float(doc["rho"]) if doc.get("rho") is not None else None
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError("model schema violation", detail=str(exc)) from None
     if mean.shape != (n,):
@@ -531,15 +551,15 @@ def load_model(path) -> LowRankPrecision:
                                  float(doc["bounds"]["beta"]))
         except (KeyError, TypeError, ValueError, NumericError) as exc:
             raise DataError("invalid bounds in model file", detail=str(exc)) from None
-    # a non-orthonormal model (a sparsified one) is certified again from its
-    # own arrays with the check sparsify_model makes, never from a stored flag
-    values = basis.data if sp.issparse(basis) else basis
-    certified = (not orthonormal and 0.0 < c < np.inf and np.all(diag <= 0.0)
-                 and np.isfinite(values).all()
-                 and c - _low_rank_top_eigval(basis, diag) > 0.0)
     try:
-        return LowRankPrecision(basis_a=basis, diag_d=diag, c=c, mean=mean,
-                                orthonormal=orthonormal, bounds=bounds,
-                                pd_certified=bool(certified))
+        # a non-orthonormal model (a sparsified one) is certified again from
+        # its own arrays with the check sparsify_model makes, never from a
+        # stored flag; the constructor refuses non-finite d, c and mean
+        certified = (not orthonormal and np.all(diag <= 0.0)
+                     and c - _low_rank_top_eigval(basis, diag) > 0.0)
+        model = LowRankPrecision(basis_a=basis, diag_d=diag, c=c, mean=mean,
+                                 orthonormal=orthonormal, bounds=bounds,
+                                 pd_certified=bool(certified))
     except NumericError as exc:
         raise DataError("model file violates invariants", detail=exc.message) from None
+    return model, rho

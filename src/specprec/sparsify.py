@@ -191,24 +191,15 @@ def measure_density(mat):
     For a square matrix the first entry counts nonzero off-diagonal cells;
     for a rectangular factor it is None.  Only exact zeros count as zero.
     """
-    if sp.issparse(mat):
-        dense_nnz = mat.nnz
-        n, m = mat.shape
-        if n == m:
-            offdiag_nnz = dense_nnz - np.count_nonzero(mat.diagonal())
-            offdiag = offdiag_nnz / (n * (n - 1)) if n > 1 else 0.0
-        else:
-            offdiag = None
-        total = dense_nnz / (n * m) if n * m else 0.0
-        return offdiag, total
-    mat = np.asarray(mat)
+    sparse = sp.issparse(mat)
+    if not sparse:
+        mat = np.asarray(mat)
     n, m = mat.shape
-    nnz = np.count_nonzero(mat)
+    nnz = mat.nnz if sparse else np.count_nonzero(mat)
+    offdiag = None
     if n == m:
-        offdiag_nnz = nnz - np.count_nonzero(np.diagonal(mat))
+        offdiag_nnz = nnz - np.count_nonzero(mat.diagonal())
         offdiag = offdiag_nnz / (n * (n - 1)) if n > 1 else 0.0
-    else:
-        offdiag = None
     total = nnz / (n * m) if n * m else 0.0
     return offdiag, total
 

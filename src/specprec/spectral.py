@@ -16,7 +16,8 @@ import scipy.linalg
 
 from .dataset import DataMatrix
 from .errors import NumericError, UsageError
-from .model import EigenBounds, LowRankPrecision, _with_checked_basis
+from .model import (EigenBounds, LowRankPrecision, _require_orthonormal,
+                    _spectrum_logdet, _with_checked_basis)
 
 __all__ = [
     "SpectralBasis",
@@ -62,13 +63,10 @@ class SpectralBasis:
             raise NumericError("inconsistent basis shapes", r=r, u_shape=u.shape)
         if r > min(self.n_vars, self.n_samples):
             raise NumericError("rank exceeds min(N, T)", r=r)
-        if r > 0:
-            if np.any(np.diff(s) > 0) or s[-1] <= 0:
-                raise NumericError("singular values must be positive nonincreasing")
-            g = u.T @ u
-            dev = np.abs(g - np.eye(r)).max()
-            if dev > 1e-10:
-                raise NumericError("basis not orthonormal", deviation=float(dev))
+        # written so that NaN fails each test
+        if r > 0 and not (s[0] < np.inf and np.all(np.diff(s) <= 0.0) and s[-1] > 0.0):
+            raise NumericError("singular values must be finite, positive and nonincreasing")
+        _require_orthonormal(u, 1e-10, "basis")
 
     @property
     def rank(self) -> int:
@@ -239,8 +237,9 @@ def select_rho_by_validation(path: RegularizationPath, val_data: DataMatrix):
 
     The path is scored in factored form, without building a model per rho.
     The validation columns z_t are projected once, W = U^T Z, which with
-    ||z_t||^2 costs O(N r T_val).  Every grid point then costs O(r) through
-        log det = sum_r log(d_r + c) + (N - r) log c,
+    ||z_t||^2 costs O(N r T_val).  Every grid point then costs O(r): its
+    log-determinant has the closed form of an orthonormal model (which also
+    refuses an entry that is not positive definite), and
         mean_t quad_t = sum_r d_r mean_t W_rt^2 + c mean_t ||z_t||^2.
     """
     basis = path.basis
@@ -248,14 +247,10 @@ def select_rho_by_validation(path: RegularizationPath, val_data: DataMatrix):
         raise UsageError("validation data dimension mismatch",
                          expected=basis.n_vars, got=val_data.n_vars)
     z = val_data.values
-    n, r = basis.basis_u.shape
     w = basis.basis_u.T @ z
     w2_mean = (w * w).mean(axis=1)
     zz_mean = np.einsum("nt,nt->", z, z) / z.shape[1]
-    eig = path.diags + path.cs[:, None]
-    if np.any(path.cs <= 0.0) or np.any(eig <= 0.0):
-        raise NumericError("a path entry is not positive definite")
-    logdets = np.log(eig).sum(axis=1) + (n - r) * np.log(path.cs)
+    logdets = _spectrum_logdet(basis.n_vars, path.diags, path.cs)
     scores = logdets - (path.diags @ w2_mean + path.cs * zz_mean)
     best = 0
     for i in range(1, len(path)):

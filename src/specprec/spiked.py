@@ -15,7 +15,8 @@ import scipy.sparse as sp
 
 from .dataset import DataMatrix
 from .errors import NumericError, UsageError
-from .model import EigenBounds, LowRankPrecision
+from .model import (EigenBounds, LowRankPrecision, _require_orthonormal,
+                    _spectrum_logdet, _with_checked_basis)
 
 __all__ = [
     "SpikedModel",
@@ -49,12 +50,12 @@ class SpikedModel:
         n, k = u.shape
         if k > n:
             raise UsageError("need K <= N", n=n, k=k)
-        if d.shape != (k,) or (d.size and d.min() <= 0):
-            raise NumericError("diag_d must be K positive values")
-        if self.beta <= 0:
-            raise NumericError("beta must be positive", beta=self.beta)
-        if k > 0 and np.abs(u.T @ u - np.eye(k)).max() > 1e-10:
-            raise NumericError("spike basis not orthonormal")
+        # written so that NaN fails each test
+        if d.shape != (k,) or not np.all((0.0 < d) & (d < np.inf)):
+            raise NumericError("diag_d must be K finite positive values")
+        if not 0.0 < self.beta < np.inf:
+            raise NumericError("beta must be finite and positive", beta=self.beta)
+        _require_orthonormal(u, 1e-10, "spike basis")
 
     @property
     def n_vars(self) -> int:
@@ -136,10 +137,7 @@ class FactoredCovariance:
         return top + self.iso
 
     def logdet(self) -> float:
-        if self.iso <= 0 or (self.rank and (self.diag_d + self.iso).min() <= 0):
-            raise NumericError("covariance not positive definite")
-        return float(np.log(self.diag_d + self.iso).sum()
-                     + (self.n_vars - self.rank) * np.log(self.iso))
+        return float(_spectrum_logdet(self.n_vars, self.diag_d, self.iso))
 
     def materialize(self, guard: int = 2000) -> np.ndarray:
         if self.n_vars > guard:
@@ -167,8 +165,8 @@ def true_precision(model: SpikedModel) -> LowRankPrecision:
     diag = -d / (rho * (d + rho))
     bounds = EigenBounds(alpha=1.0 / ((d.max() if d.size else 0.0) + rho),
                          beta=1.0 / rho)
-    return LowRankPrecision(basis_a=model.basis_u, diag_d=diag, c=1.0 / rho,
-                            mean=np.zeros(n), orthonormal=True, bounds=bounds)
+    # SpikedModel has proven its basis orthonormal
+    return _with_checked_basis(model.basis_u, diag, 1.0 / rho, np.zeros(n), bounds)
 
 
 def true_precision_frob(model: SpikedModel) -> float:

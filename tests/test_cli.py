@@ -341,6 +341,41 @@ def test_indefinite_model_is_numeric_error(tmp_path, capsys):
     assert err["code"] == EXIT_NUMERIC
 
 
+@pytest.mark.parametrize("command", ["eval", "screen"])
+@pytest.mark.parametrize("c, basis", [(float("inf"), [[2.0], [0.0]]),
+                                      (1.0, [[float("nan")], [0.0]])])
+def test_non_finite_model_file_fails_cleanly(tmp_path, capsys, command, c, basis):
+    # a non-finite model is refused with a JSON error, never evaluated to nan
+    model_path = tmp_path / "bad.json"
+    doc = {"format_version": 1, "n": 2, "r": 1, "c": c, "orthonormal": False,
+           "mean": [0.0, 0.0], "diag": [-0.5], "basis": basis}
+    model_path.write_text(json.dumps(doc))
+    data_path = tmp_path / "d.csv"
+    data_path.write_text("0,1\n1,0\n")
+    out = tmp_path / "out.csv"
+    if command == "eval":
+        argv = ["eval", "--model", str(model_path), "--input", str(data_path),
+                "--output", str(out)]
+    else:
+        argv = ["screen", "--model", str(model_path), "--epsilon", "0.1",
+                "--unimportant-out", str(out), "--edges-out", str(tmp_path / "e.csv")]
+    rc = main(argv)
+    assert rc in (EXIT_DATA, EXIT_NUMERIC)
+    assert json.loads(capsys.readouterr().err)["code"] == rc
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--threads", "2", "fit", "--input", SMALL, "--output", "m.json", "--rho", "1.0"],
+    ["fit", "--seed", "0", "--input", SMALL, "--output", "m.json", "--rho", "1.0"],
+])
+def test_removed_flags_are_usage_errors(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+
+
 def test_malformed_csv_is_data_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,2\n3\n")

@@ -7,8 +7,9 @@ import scipy.sparse as sp
 from specprec import (DataError, DataMatrix, EigenBounds, LowRankPrecision,
                       NumericError, UsageError, average_log_likelihood,
                       conditional, important_edges, load_model,
-                      log_likelihood, materialize_dense, orthonormalize,
-                      partial_correlation, save_model, screen_unimportant,
+                      load_model_with_rho, log_likelihood, materialize_dense,
+                      orthonormalize, partial_correlation, save_model,
+                      save_model_with_rho, screen_unimportant,
                       soft_threshold_basis)
 from specprec.oracle import dense_conditional, dense_loglik
 
@@ -58,6 +59,22 @@ def test_loglik_refuses_uncertified(rng):
     assert not m.pd_certified
     with pytest.raises(NumericError):
         log_likelihood(m, np.zeros(4))
+
+
+NAN, INF = float("nan"), float("inf")
+NON_FINITE = [("basis", [[NAN], [0.0]]), ("diag", [NAN]), ("c", NAN),
+              ("c", INF), ("mean", [0.0, NAN])]
+
+
+@pytest.mark.parametrize("key, value", NON_FINITE)
+def test_orthonormal_model_refuses_non_finite_parameters(key, value):
+    # every comparison with NaN is False, so a check written as "fail if
+    # deviation > tol" would certify each of these models
+    args = {"basis": [[1.0], [0.0]], "diag": [-0.5], "c": 1.0, "mean": [0.0, 0.0]}
+    args[key] = value
+    with pytest.raises(NumericError):
+        LowRankPrecision(basis_a=np.array(args["basis"]), diag_d=np.array(args["diag"]),
+                         c=args["c"], mean=np.array(args["mean"]), orthonormal=True)
 
 
 def test_conditional_rank_zero():
@@ -305,6 +322,35 @@ def test_load_rejects_invalid(tmp_path, mutate):
     path.write_text(json.dumps(doc))
     with pytest.raises(DataError):
         load_model(path)
+
+
+@pytest.mark.parametrize("key, value", NON_FINITE)
+def test_load_rejects_non_finite_orthonormal_model(tmp_path, key, value):
+    doc = {"format_version": 1, "n": 2, "r": 1, "c": 1.0, "orthonormal": True,
+           "mean": [0.0, 0.0], "diag": [-0.5], "basis": [[1.0], [0.0]]}
+    doc[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))  # Python's json writes NaN and Infinity
+    with pytest.raises(DataError):
+        load_model(path)
+
+
+def test_load_model_with_rho_parses_the_file_once(tmp_path, rng, monkeypatch):
+    m = random_orthonormal_model(rng, 6, 2)
+    path = tmp_path / "m.json"
+    save_model_with_rho(m, path, 0.25)
+    parses = []
+    real_loads = json.loads
+
+    def counting_loads(*args, **kwargs):
+        parses.append(1)
+        return real_loads(*args, **kwargs)
+
+    # json.load reads the file and hands the text to json.loads
+    monkeypatch.setattr(json, "loads", counting_loads)
+    back, rho = load_model_with_rho(path)
+    assert rho == 0.25 and len(parses) == 1
+    np.testing.assert_array_equal(back.basis_a, m.basis_a)
 
 
 def test_load_rejects_garbage(tmp_path):

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specprec import (DataMatrix, NumericError, UsageError,
+from specprec import (DataMatrix, NumericError, SpectralBasis, UsageError,
                       average_log_likelihood, center, eigen_bounds,
-                      isotropic_fit, materialize_dense,
+                      isotropic_fit, materialize_dense, random_spiked,
                       riccati_fit, select_rho_by_validation, solution_path,
-                      thin_svd, tikhonov_fit)
+                      thin_svd, tikhonov_fit, true_precision)
 from specprec.oracle import dense_riccati, dense_tikhonov, kkt_residual
 
 from conftest import centered_data, sample_cov
@@ -268,12 +268,14 @@ def test_select_rho_scores_equal_model_likelihoods(rng, method):
 
 
 def test_fits_and_validation_reuse_the_basis_proof(rng, monkeypatch):
-    # SpectralBasis has proven U^T U = I; fits, path entries, validation and
-    # their log-determinants must not recompute the O(N r^2) Gram matrix
+    # SpectralBasis and SpikedModel have proven U^T U = I; fits, path entries,
+    # validation, the true precision and their log-determinants must not
+    # recompute the O(N r^2) Gram matrix
     import specprec.model
 
     b = thin_svd(centered_data(rng, 40, 8))
     val = DataMatrix(values=rng.standard_normal((40, 5)))
+    truth = random_spiked(40, 3, 1.0, 0.2, seed=5)
 
     def no_gram(a):
         raise AssertionError("Gram matrix recomputed")
@@ -286,6 +288,17 @@ def test_fits_and_validation_reuse_the_basis_proof(rng, monkeypatch):
         path = solution_path(b, np.logspace(-2, 1, 5), method)
         assert np.isfinite(path.model_at(2).logdet)
         select_rho_by_validation(path, val)
+    m = true_precision(truth)
+    assert m.orthonormal and m.pd_certified and np.isfinite(m.logdet)
+
+
+@pytest.mark.parametrize("u, s", [([[np.nan], [0.0]], [1.0]),
+                                  ([[1.0], [0.0]], [np.nan])])
+def test_spectral_basis_refuses_non_finite(u, s):
+    with pytest.raises(NumericError):
+        SpectralBasis(basis_u=np.array(u), data_singvals=np.array(s),
+                      cov_eigvals=np.array(s) ** 2 / 2, n_vars=2, n_samples=2,
+                      mean=np.zeros(2))
 
 
 def test_select_rho_dimension_mismatch(rng):

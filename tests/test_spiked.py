@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specprec import (LowRankPrecision, SpikedModel, UsageError,
+from specprec import (LowRankPrecision, NumericError, SpikedModel, UsageError,
                       concentration_gamma, gaussian_kl, kl_excess_bound,
                       materialize_dense, random_spiked, recommend_rho,
                       riccati_fit, sample, thin_svd, true_covariance,
@@ -74,6 +74,12 @@ def test_true_covariance_examples():
     w = np.sort(np.linalg.eigvalsh(cov.materialize()))
     np.testing.assert_allclose(w, [1, 1, 1, 1, 2])
     assert cov.trace() == pytest.approx(1.0 + 5.0)
+
+
+def test_spiked_model_refuses_nan_basis():
+    with pytest.raises(NumericError):
+        SpikedModel(basis_u=np.array([[np.nan], [0.0]]), diag_d=np.array([1.0]),
+                    beta=1.0, seed=0)
 
 
 def test_true_precision_rank_zero():
