@@ -53,10 +53,14 @@ class DataMatrix:
                 raise DataError("mean length must equal the number of variables",
                                 expected=values.shape[0], got=mean.shape)
             row_sums = np.abs(values.sum(axis=1))
-            tol = 1e-9 * values.shape[1] * (np.abs(values).max(axis=1) + 1.0)
+            # every row's tolerance is at least 1e-9 T, so |values| is read
+            # only when some sum exceeds that
+            tol = 1e-9 * values.shape[1]
             if np.any(row_sums > tol):
-                raise DataError("centered rows must sum to zero",
-                                worst_row=int(np.argmax(row_sums - tol)))
+                tol = tol * (np.abs(values).max(axis=1) + 1.0)
+                if np.any(row_sums > tol):
+                    raise DataError("centered rows must sum to zero",
+                                    worst_row=int(np.argmax(row_sums - tol)))
             mean = mean.copy()
             mean.setflags(write=False)
             object.__setattr__(self, "mean", mean)

@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dataset import DataMatrix
 from .errors import NumericError, UsageError
-from .model import (EigenBounds, LowRankPrecision, _require_orthonormal,
+from .model import (_ROW_BLOCK, EigenBounds, LowRankPrecision, _require_orthonormal,
                     _spectrum_logdet, _with_checked_basis)
 
 __all__ = [
@@ -78,25 +77,33 @@ class SpectralBasis:
         return float(self.cov_eigvals[0]) if self.rank else 0.0
 
 
-def _cholesky_orthonormalize(u: np.ndarray) -> np.ndarray:
-    """Two rounds of Cholesky-based re-orthonormalization (CholeskyQR2).
+def _recover_basis(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """U = X W made orthonormal by CholeskyQR2, one block of rows at a time.
 
-    For the near-orthonormal factor produced by the Gram path this reaches
-    machine-precision orthogonality using only matrix products and r x r
-    triangular solves, which scale smoothly in N unlike a Householder QR of
-    the tall factor.  Falls back to Householder QR if a Gram matrix is not
-    numerically positive definite.
+    The first pass forms U; each of two more multiplies U in place by the
+    inverse of the r x r Cholesky factor of U^T U, a GEMM that scales
+    smoothly in N.  Every pass but the last adds each block's share of the
+    next Gram matrix while the block is in cache.  Falls back to
+    Householder QR if a Gram matrix is not numerically positive definite.
     """
-    for _ in range(2):
-        g = u.T @ u
+    n, r = x.shape[0], w.shape[1]
+    u, buf = np.empty((n, r)), np.empty((min(n, _ROW_BLOCK), r))
+    src = x
+    for step in range(3):
+        gram = np.zeros((r, r))
+        for lo in range(0, n, _ROW_BLOCK):
+            block = u[lo:lo + _ROW_BLOCK]
+            block[...] = np.matmul(src[lo:lo + _ROW_BLOCK], w, out=buf[:block.shape[0]])
+            if step < 2:
+                gram += block.T @ block
+        if step == 2:
+            return u
         try:
-            chol = np.linalg.cholesky(g)
+            w = np.linalg.inv(np.linalg.cholesky(gram)).T
         except np.linalg.LinAlgError:
             q, rr = np.linalg.qr(u)
             return q * np.sign(np.diag(rr))[None, :]
-        u = scipy.linalg.solve_triangular(chol, u.T, lower=True,
-                                          check_finite=False).T
-    return u
+        src = u
 
 
 def thin_svd(data: DataMatrix) -> SpectralBasis:
@@ -125,8 +132,7 @@ def thin_svd(data: DataMatrix) -> SpectralBasis:
         # the rank tolerance applies to them, not to their square roots
         keep = w > max(n, t) * np.finfo(float).eps * w[0]
         s = np.sqrt(w[keep])
-        u = x @ (v[:, keep] / s[None, :])
-        u = _cholesky_orthonormalize(u)
+        u = _recover_basis(x, v[:, keep] / s[None, :])
     else:
         u, s, _ = np.linalg.svd(x, full_matrices=False)
         tol = max(n, t) * np.finfo(float).eps * s[0]

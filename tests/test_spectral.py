@@ -72,6 +72,31 @@ def test_thin_svd_gram_path_drops_null_direction(rng):
         assert thin_svd(center(DataMatrix(values=x))).rank <= 47
 
 
+@pytest.mark.parametrize("n", [4096, 9001])
+def test_thin_svd_gram_path_matches_svd_over_row_blocks(rng, n):
+    # U is recovered and re-orthonormalized one block of rows at a time,
+    # including a short last block
+    d = centered_data(rng, n, 12)
+    b = thin_svd(d)
+    s = np.linalg.svd(d.values, compute_uv=False)[:b.rank]
+    np.testing.assert_allclose(b.data_singvals, s, rtol=1e-10)
+    x = d.values
+    resid = np.linalg.norm(x - b.basis_u @ (b.basis_u.T @ x))
+    assert resid <= 1e-10 * np.linalg.norm(x)
+
+
+def test_thin_svd_gram_path_falls_back_to_householder(rng, monkeypatch):
+    d = centered_data(rng, 5000, 10)
+    expected = thin_svd(d)
+
+    def not_positive_definite(g):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(np.linalg, "cholesky", not_positive_definite)
+    b = thin_svd(d)
+    np.testing.assert_allclose(b.basis_u, expected.basis_u, atol=1e-12)
+
+
 def _basis_from_eigvals(d):
     r = len(d)
     n = r + 2
