@@ -37,6 +37,9 @@ class DataMatrix:
     zero_variance: tuple[int, ...] = ()
 
     def __post_init__(self):
+        self._validate(copy=True)
+
+    def _validate(self, copy: bool):
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise DataError("values must be a 2-d matrix with at least one row and column",
@@ -44,7 +47,8 @@ class DataMatrix:
         if not np.all(np.isfinite(values)):
             bad = np.argwhere(~np.isfinite(values))[0]
             raise DataError("non-finite value in data", row=int(bad[0]), col=int(bad[1]))
-        values = values.copy()
+        if copy:
+            values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         if self.mean is not None:
@@ -143,14 +147,25 @@ def write_csv(data: DataMatrix, path, delimiter: str = ",",
             writer.writerow([_FLOAT_FMT % v for v in row])
 
 
+def _adopt(**fields) -> DataMatrix:
+    """DataMatrix over a float64 ``values`` array that its caller has just
+    made and shares with no one: checked like any other, but made read-only
+    in place instead of copied."""
+    data = object.__new__(DataMatrix)
+    for name, value in fields.items():
+        object.__setattr__(data, name, value)
+    data._validate(copy=False)
+    return data
+
+
 def center(data: DataMatrix) -> DataMatrix:
     """Subtract each variable's empirical mean; the mean is kept on the result."""
     mu = data.values.mean(axis=1)
-    return DataMatrix(values=data.values - mu[:, None],
-                      mean=mu,
-                      standardized=data.standardized,
-                      variable_names=data.variable_names,
-                      zero_variance=data.zero_variance)
+    return _adopt(values=data.values - mu[:, None],
+                  mean=mu,
+                  standardized=data.standardized,
+                  variable_names=data.variable_names,
+                  zero_variance=data.zero_variance)
 
 
 def row_scale(data: DataMatrix) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -169,11 +184,11 @@ def standardize(data: DataMatrix) -> DataMatrix:
     Zero-variance rows are left unscaled and reported in ``zero_variance``.
     """
     scale, flagged = row_scale(data)
-    return DataMatrix(values=data.values / scale[:, None],
-                      mean=data.mean,
-                      standardized=True,
-                      variable_names=data.variable_names,
-                      zero_variance=flagged)
+    return _adopt(values=data.values / scale[:, None],
+                  mean=data.mean,
+                  standardized=True,
+                  variable_names=data.variable_names,
+                  zero_variance=flagged)
 
 
 def split(data: DataMatrix, fractions: tuple[float, float, float],

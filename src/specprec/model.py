@@ -45,8 +45,9 @@ class EigenBounds:
     beta: float
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= self.beta):
-            raise NumericError("eigenvalue bounds require 0 < alpha <= beta",
+        # written so that NaN fails it
+        if not (0.0 < self.alpha <= self.beta < np.inf):
+            raise NumericError("eigenvalue bounds require 0 < alpha <= beta < inf",
                                alpha=self.alpha, beta=self.beta)
 
 
@@ -74,12 +75,16 @@ def _gram(a) -> np.ndarray:
     return g
 
 
-def _require_orthonormal(a, tol: float, what: str) -> None:
-    """Prove A^T A = I to ``tol`` in O(N r^2); a NaN deviation fails it."""
+def _require_orthonormal(a, tol: float, what: str, gram=None) -> None:
+    """Prove A^T A = I to ``tol``; a NaN deviation fails it.
+
+    ``gram`` is A^T A when the caller has just summed it from the stored A,
+    which saves the O(N r^2) pass that computes it here otherwise.
+    """
     r = a.shape[1]
     if r == 0:
         return
-    dev = float(np.abs(_gram(a) - np.eye(r)).max())
+    dev = float(np.abs((_gram(a) if gram is None else gram) - np.eye(r)).max())
     if not dev <= tol:
         raise NumericError(f"{what} is not orthonormal", deviation=dev, tol=tol)
 

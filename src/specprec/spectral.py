@@ -51,6 +51,9 @@ class SpectralBasis:
     mean: np.ndarray
 
     def __post_init__(self):
+        self._validate(gram=None)
+
+    def _validate(self, gram):
         u = np.asarray(self.basis_u, dtype=np.float64)
         s = np.asarray(self.data_singvals, dtype=np.float64).ravel()
         d = np.asarray(self.cov_eigvals, dtype=np.float64).ravel()
@@ -65,7 +68,7 @@ class SpectralBasis:
         # written so that NaN fails each test
         if r > 0 and not (s[0] < np.inf and np.all(np.diff(s) <= 0.0) and s[-1] > 0.0):
             raise NumericError("singular values must be finite, positive and nonincreasing")
-        _require_orthonormal(u, 1e-10, "basis")
+        _require_orthonormal(u, 1e-10, "basis", gram)
 
     @property
     def rank(self) -> int:
@@ -77,14 +80,32 @@ class SpectralBasis:
         return float(self.cov_eigvals[0]) if self.rank else 0.0
 
 
-def _recover_basis(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """U = X W made orthonormal by CholeskyQR2, one block of rows at a time.
+def _with_gram(gram, **fields) -> SpectralBasis:
+    """SpectralBasis checked like any other, except that the orthonormality
+    proof reads ``gram``, U^T U summed from the stored U, when it is given."""
+    basis = object.__new__(SpectralBasis)
+    for name, value in fields.items():
+        object.__setattr__(basis, name, value)
+    basis._validate(gram)
+    return basis
 
-    The first pass forms U; each of two more multiplies U in place by the
-    inverse of the r x r Cholesky factor of U^T U, a GEMM that scales
-    smoothly in N.  Every pass but the last adds each block's share of the
-    next Gram matrix while the block is in cache.  Falls back to
-    Householder QR if a Gram matrix is not numerically positive definite.
+
+# A Gram matrix this close to I shows U orthonormal to rounding; another
+# CholeskyQR round would move U by no more than that.
+_ORTHO_STOP = 64 * np.finfo(float).eps
+
+
+def _recover_basis(x: np.ndarray, w: np.ndarray):
+    """U = X W made orthonormal by at most two CholeskyQR rounds (Fukaya et
+    al., 2014), one block of rows at a time.
+
+    Every pass writes U and adds each block's share of U^T U while the block
+    is in cache.  It stops once that Gram matrix is within ``_ORTHO_STOP``
+    of I, so well-conditioned data costs one pass; otherwise the next pass
+    multiplies U in place by the inverse of its r x r Cholesky factor, a
+    GEMM.  Returns U and the Gram matrix of the stored U, which proves U
+    orthonormal, or None after the Householder QR fallback taken when a
+    Gram matrix is not numerically positive definite.
     """
     n, r = x.shape[0], w.shape[1]
     u, buf = np.empty((n, r)), np.empty((min(n, _ROW_BLOCK), r))
@@ -94,15 +115,14 @@ def _recover_basis(x: np.ndarray, w: np.ndarray) -> np.ndarray:
         for lo in range(0, n, _ROW_BLOCK):
             block = u[lo:lo + _ROW_BLOCK]
             block[...] = np.matmul(src[lo:lo + _ROW_BLOCK], w, out=buf[:block.shape[0]])
-            if step < 2:
-                gram += block.T @ block
-        if step == 2:
-            return u
+            gram += block.T @ block
+        if step == 2 or np.abs(gram - np.eye(r)).max() <= _ORTHO_STOP:
+            return u, gram
         try:
             w = np.linalg.inv(np.linalg.cholesky(gram)).T
         except np.linalg.LinAlgError:
             q, rr = np.linalg.qr(u)
-            return q * np.sign(np.diag(rr))[None, :]
+            return q * np.sign(np.diag(rr))[None, :], None
         src = u
 
 
@@ -121,6 +141,7 @@ def thin_svd(data: DataMatrix) -> SpectralBasis:
         return SpectralBasis(basis_u=np.zeros((n, 0)), data_singvals=np.zeros(0),
                              cov_eigvals=np.zeros(0), n_vars=n, n_samples=t,
                              mean=data.mean)
+    gram = None
     if n >= max(_GRAM_RATIO * t, _GRAM_MIN_N):
         # Tall case: eigendecompose the T x T Gram matrix, then recover U and
         # re-orthonormalize it.  Never touches an N x N object.
@@ -132,15 +153,15 @@ def thin_svd(data: DataMatrix) -> SpectralBasis:
         # the rank tolerance applies to them, not to their square roots
         keep = w > max(n, t) * np.finfo(float).eps * w[0]
         s = np.sqrt(w[keep])
-        u = _recover_basis(x, v[:, keep] / s[None, :])
+        u, gram = _recover_basis(x, v[:, keep] / s[None, :])
     else:
         u, s, _ = np.linalg.svd(x, full_matrices=False)
         tol = max(n, t) * np.finfo(float).eps * s[0]
         keep = s > tol
         u = u[:, keep]
         s = s[keep]
-    return SpectralBasis(basis_u=u, data_singvals=s, cov_eigvals=s * s / t,
-                         n_vars=n, n_samples=t, mean=data.mean)
+    return _with_gram(gram, basis_u=u, data_singvals=s, cov_eigvals=s * s / t,
+                      n_vars=n, n_samples=t, mean=data.mean)
 
 
 def _riccati_diag(cov_eigvals: np.ndarray, rho: float):

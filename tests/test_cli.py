@@ -221,6 +221,21 @@ def test_sparsify_without_lambda_or_stored_rho(tmp_path, capsys):
     assert rc == EXIT_USAGE
 
 
+def test_sparsify_refuses_infinite_beta(tmp_path, capsys):
+    model_path = tmp_path / "m.json"
+    main(["fit", "--input", SMALL, "--output", str(model_path), "--rho", "0.5"])
+    doc = json.loads(model_path.read_text())
+    doc["bounds"]["beta"] = float("inf")
+    model_path.write_text(json.dumps(doc))
+    assert '"beta": Infinity' in model_path.read_text()
+    out = tmp_path / "s.json"
+    rc = main(["sparsify", "--model", str(model_path), "--output", str(out),
+               "--report", str(tmp_path / "rep.json")])
+    assert rc == EXIT_DATA
+    assert json.loads(capsys.readouterr().err)["code"] == EXIT_DATA
+    assert not out.exists() and not (tmp_path / "rep.json").exists()
+
+
 def test_screen_isotropic_model(tmp_path):
     model_path = tmp_path / "iso.json"
     doc = {"format_version": 1, "n": 4, "r": 0, "c": 2.0, "orthonormal": True,

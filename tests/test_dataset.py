@@ -73,6 +73,28 @@ def test_center_idempotent(seed):
     assert np.abs(d.values.sum(axis=1)).max() < 1e-9 * 7 * (np.abs(d.values).max() + 1)
 
 
+def test_constructor_copies_and_center_does_not(rng):
+    import tracemalloc
+
+    x = rng.standard_normal((3, 4))
+    d = DataMatrix(values=x)
+    x[0, 0] = 100.0
+    assert d.values[0, 0] != 100.0
+    # center keeps the array it has just made, and still checks it: the
+    # mean of [1e308, 1e308] overflows, so the centred row is not finite
+    assert not center(d).values.flags.writeable
+    with np.errstate(over="ignore"), pytest.raises(DataError):
+        center(DataMatrix(values=[[1e308, 1e308]]))
+    big = DataMatrix(values=rng.standard_normal((1 << 16, 64)))
+    tracemalloc.start()
+    try:
+        center(big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * big.values.nbytes
+
+
 def test_standardize_examples():
     d = standardize(center(DataMatrix(values=[[1.0, 3.0], [0.0, 4.0]])))
     np.testing.assert_allclose(d.values, [[-1.0, 1.0], [-1.0, 1.0]])

@@ -366,3 +366,10 @@ def test_loglik_determinant_cached(rng):
     assert m.logdet is not None
     assert "logdet" in m.__dict__  # cached after first evaluation
     assert m.logdet == first
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (2.0, 1.0), (0.5, np.inf),
+                                         (np.nan, 1.0), (0.5, np.nan)])
+def test_eigen_bounds_must_be_positive_ordered_and_finite(alpha, beta):
+    with pytest.raises(NumericError):
+        EigenBounds(alpha, beta)

@@ -97,6 +97,66 @@ def test_thin_svd_gram_path_falls_back_to_householder(rng, monkeypatch):
     np.testing.assert_allclose(b.basis_u, expected.basis_u, atol=1e-12)
 
 
+def test_thin_svd_gram_path_ill_conditioned_reaches_cholesky(rng, monkeypatch):
+    # singular values spanning 1 ... 1e-6 leave U = X V / s far enough from
+    # orthonormal that CholeskyQR runs, and the Householder fallback agrees
+    n, t = 4096, 9
+    q, _ = np.linalg.qr(rng.standard_normal((n, t - 1)))
+    v, _ = np.linalg.qr(np.column_stack([np.ones(t), rng.standard_normal((t, t - 1))]))
+    x = (q * np.logspace(0, -6, t - 1)) @ v[:, 1:].T  # rows sum to zero
+    d = DataMatrix(values=x, mean=np.zeros(n))
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(g):
+        calls.append(g.shape)
+        return cholesky(g)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    b = thin_svd(d)
+    assert calls
+    assert b.rank == t - 1
+    assert np.abs(b.basis_u.T @ b.basis_u - np.eye(b.rank)).max() <= 1e-10
+    u_svd = np.linalg.svd(x, full_matrices=False)[0][:, :b.rank]
+    assert np.abs(u_svd - b.basis_u @ (b.basis_u.T @ u_svd)).max() <= 1e-10
+
+    def not_positive_definite(g):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(np.linalg, "cholesky", not_positive_definite)
+    np.testing.assert_allclose(thin_svd(d).basis_u, b.basis_u, atol=1e-12)
+
+
+def test_thin_svd_well_conditioned_fast_path(rng, monkeypatch):
+    # tall, well-conditioned data is orthonormal after U = X V / s: no
+    # Cholesky factor is formed, and the recovery pass's Gram matrix is the
+    # basis proof, so U^T U is not summed again
+    import dataclasses
+    import inspect
+
+    import specprec.model
+
+    d = centered_data(rng, 9001, 12)
+
+    def refuse(*args):
+        raise AssertionError("called on the fast path")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "cholesky", refuse)
+        patch.setattr(specprec.model, "_gram", refuse)
+        b = thin_svd(d)
+    assert np.abs(b.basis_u.T @ b.basis_u - np.eye(b.rank)).max() <= 1e-13
+    x = d.values
+    assert np.linalg.norm(x - b.basis_u @ (b.basis_u.T @ x)) <= 1e-10 * np.linalg.norm(x)
+    with pytest.raises(NumericError):
+        SpectralBasis(basis_u=b.basis_u * (1.0 + 1e-8), data_singvals=b.data_singvals,
+                      cov_eigvals=b.cov_eigvals, n_vars=b.n_vars,
+                      n_samples=b.n_samples, mean=b.mean)
+    assert [f.name for f in dataclasses.fields(SpectralBasis)] == [
+        "basis_u", "data_singvals", "cov_eigvals", "n_vars", "n_samples", "mean"]
+    assert list(inspect.signature(thin_svd).parameters) == ["data"]
+
+
 def _basis_from_eigvals(d):
     r = len(d)
     n = r + 2
