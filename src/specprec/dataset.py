@@ -75,7 +75,7 @@ class DataMatrix:
                                 expected=values.shape[0], got=len(names))
             object.__setattr__(self, "variable_names", names)
         if self.standardized:
-            var = (values ** 2).sum(axis=1) / values.shape[1]
+            var = np.einsum("ij,ij->i", values, values) / values.shape[1]
             exempt = np.zeros(values.shape[0], dtype=bool)
             exempt[list(self.zero_variance)] = True
             if np.any(np.abs(var[~exempt] - 1.0) > 1e-6):

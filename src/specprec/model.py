@@ -103,18 +103,19 @@ def _spectrum_logdet(n: int, diag_d, c):
     return np.log(eig).sum(axis=-1) + (n - eig.shape[-1]) * np.log(c)
 
 
-def _low_rank_top_eigval(a, diag_d: np.ndarray) -> float:
+def _low_rank_top_eigval(a, diag_d: np.ndarray, gram=None) -> float:
     """Largest eigenvalue of A diag(-d) A^T for d <= 0, in O(N r^2).
 
     Its nonzero spectrum is that of the r x r Gram matrix B^T B with
     B = A sqrt(-d), so A diag(d) A^T + c I has every eigenvalue in
     [c - mu, c] and is positive definite when c - mu > 0.  A non-finite
     Gram is refused, since ``eigvalsh`` can return finite values for it.
+    ``gram`` is A^T A when the caller has just summed it from A.
     """
     if diag_d.size == 0:
         return 0.0
     root = np.sqrt(-diag_d)
-    g = _gram(a) * root[:, None] * root[None, :]
+    g = (_gram(a) if gram is None else gram) * root[:, None] * root[None, :]
     if not np.isfinite(g).all():
         raise NumericError("basis or diagonal is not finite")
     return float(np.linalg.eigvalsh(g).max())
@@ -216,7 +217,7 @@ class LowRankPrecision:
             raise NumericError("log-determinant requires c > 0", c=self.c)
         m = np.eye(r) + (_gram(self.basis_a) * self.diag_d[None, :]) / self.c
         sign, val = np.linalg.slogdet(m)
-        if sign <= 0:
+        if not (sign > 0 and np.isfinite(val)):
             raise NumericError("determinant term is not positive; model is indefinite")
         return float(val + n * np.log(self.c))
 
@@ -283,12 +284,26 @@ def log_likelihood(model: LowRankPrecision, x: np.ndarray) -> float:
 
 
 def average_log_likelihood(model: LowRankPrecision, samples) -> float:
-    """Mean log-likelihood over sample columns (an N x T array or DataMatrix)."""
-    values = getattr(samples, "values", samples)
-    z = np.asarray(values, dtype=np.float64) - model.mean[:, None]
-    w = model.basis_a.T @ z
-    quad = np.einsum("rt,r,rt->t", w, model.diag_d, w) + model.c * (z * z).sum(axis=0)
+    """Mean log-likelihood over sample columns (an N x T array or DataMatrix).
+
+    The centred samples Z = X - mu are formed one row block at a time in one
+    block-sized buffer, and each block adds its share of W = A^T Z and of
+    the column norms z_t^T z_t, so no N x T temporary is built.
+    """
     model._require_pd("average_log_likelihood")
+    values = np.asarray(getattr(samples, "values", samples), dtype=np.float64)
+    n, r = model.basis_a.shape
+    if values.ndim != 2 or values.shape[0] != n:
+        raise UsageError("samples must be an N x T matrix", n=n, got=values.shape)
+    w = np.zeros((r, values.shape[1]))
+    norms = np.zeros(values.shape[1])
+    buf = np.empty((min(n, _ROW_BLOCK), values.shape[1]))
+    for lo in range(0, n, _ROW_BLOCK):
+        hi = min(n, lo + _ROW_BLOCK)
+        z = np.subtract(values[lo:hi], model.mean[lo:hi, None], out=buf[:hi - lo])
+        w += model.basis_a[lo:hi].T @ z
+        norms += np.einsum("nt,nt->t", z, z)
+    quad = np.einsum("rt,r,rt->t", w, model.diag_d, w) + model.c * norms
     return float(model.logdet - quad.mean())
 
 
@@ -319,6 +334,8 @@ def conditional(model: LowRankPrecision, part1, part2, x2):
     r x r linear solve against diag(d) U1^T U1 + c I, costing O(|part1| r^2).
     A per-component gain d_t/(d_t + c) would only be exact if the part1 rows
     of the basis were themselves orthonormal, which a row subset is not.
+    U2^T (x2 - mu_2) is read as U^T z with z zero on part1, so only the
+    part1 rows of the basis are copied.
     """
     if not model.orthonormal:
         raise UsageError("conditional requires an orthonormal model")
@@ -327,12 +344,13 @@ def conditional(model: LowRankPrecision, part1, part2, x2):
     x2 = np.asarray(x2, dtype=np.float64).ravel()
     if x2.shape != (p2.size,):
         raise UsageError("x2 length must match part2", expected=p2.size, got=x2.shape)
-    a = model.basis_a.toarray() if _is_sparse(model.basis_a) else model.basis_a
-    u1 = a[p1]
-    u2 = a[p2]
+    a = model.basis_a
+    u1 = a[p1].toarray() if _is_sparse(a) else a[p1]
     r = model.rank
     if r:
-        w = model.diag_d * (u2.T @ (x2 - model.mean[p2]))
+        z = np.zeros(model.n_vars)
+        z[p2] = x2 - model.mean[p2]
+        w = model.diag_d * (a.T @ z)
         gram = u1.T @ u1
         s = np.linalg.solve(model.diag_d[:, None] * gram + model.c * np.eye(r), w)
         mu_1_given_2 = model.mean[p1] - u1 @ s
@@ -358,7 +376,7 @@ def partial_correlation(model: LowRankPrecision, n1: int, n2: int) -> float:
     off = float(np.sum(d * a1 * a2))
     d1 = float(np.sum(d * a1 * a1) + model.c)
     d2 = float(np.sum(d * a2 * a2) + model.c)
-    if d1 <= 0.0 or d2 <= 0.0:
+    if not (d1 > 0.0 and d2 > 0.0):  # written so that NaN fails it
         raise NumericError("non-positive diagonal precision entry")
     return off / np.sqrt(d1 * d2)
 

@@ -23,7 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NumericError, UsageError
-from .model import EigenBounds, LowRankPrecision, _low_rank_top_eigval, materialize_dense
+from .model import (_ROW_BLOCK, EigenBounds, LowRankPrecision, _low_rank_top_eigval,
+                    materialize_dense)
 
 __all__ = [
     "SparsifyReport",
@@ -63,39 +64,76 @@ class SparsifyReport:
                                bound=self.spectral_gap_bound)
 
 
-def _threshold(u, lam: float, mode: str) -> sp.csr_matrix:
-    if lam < 0:
+def _threshold(u, lam: float, mode: str):
+    """Threshold a dense N x r basis into CSR and return (csr, A^T A).
+
+    Two passes over ``model._ROW_BLOCK``-row blocks, each through one
+    block-sized buffer, so no N x r temporary is built.  Pass 1 counts the
+    kept entries of every row into an exact ``indptr``.  Pass 2 forms each
+    thresholded block densely (soft: u - clip(u, -thr, thr), which is
+    sign(u) max(|u| - thr, 0); hard: u where |u| >= thr), adds its
+    block^T block to the Gram matrix while it is in cache, and gathers the
+    kept values and their column indices into the preallocated CSR arrays.
+    The blocks are the ones ``model._gram`` densifies, so for a finite u the
+    Gram matrix is bit for bit the one it would compute from the returned
+    CSR.  A hard threshold of 0 keeps only the nonzeros, since CSR stores
+    no zeros.
+    """
+    if not lam >= 0:
         raise UsageError("lambda must be nonnegative", lam=lam)
     if mode not in ("soft", "hard"):
         raise UsageError("mode must be 'soft' or 'hard'", mode=mode)
     u = np.ascontiguousarray(u, dtype=np.float64)
     n, r = u.shape
     if r == 0:
-        return sp.csr_matrix((n, 0))
+        return sp.csr_matrix((n, 0)), np.zeros((0, 0))
     thr = lam / np.sqrt(n * r)
-    # the CSR arrays come straight from the kept entries of the row-major
-    # basis: flat index k is row k // r, column k % r, in CSR order
-    flat = u.reshape(-1)
-    kept = np.flatnonzero(np.abs(flat) > thr if mode == "soft" else np.abs(flat) >= thr)
-    vals = flat[kept]
-    if mode == "soft":
-        vals = np.sign(vals) * (np.abs(vals) - thr)
-    elif thr == 0.0:  # a hard threshold of 0 keeps the zeros; CSR stores none
-        nonzero = vals != 0.0
-        kept, vals = kept[nonzero], vals[nonzero]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(kept // r, minlength=n), out=indptr[1:])
-    return sp.csr_matrix((vals, kept % r, indptr), shape=(n, r))
+    keep = np.greater if mode == "soft" or thr == 0.0 else np.greater_equal
+    buf = np.empty((min(n, _ROW_BLOCK), r))
+    mask = np.empty(buf.shape, dtype=bool)
+
+    def blocks():
+        """(lo, block, its buffer, its kept-entry mask) for every row block."""
+        for lo in range(0, n, _ROW_BLOCK):
+            block = u[lo:lo + _ROW_BLOCK]
+            m = block.shape[0]
+            keep(np.abs(block, out=buf[:m]), thr, out=mask[:m])
+            yield lo, block, buf[:m], mask[:m]
+
+    counts = np.zeros(n + 1, dtype=np.intp)
+    for lo, block, _, kept in blocks():
+        counts[lo + 1:lo + 1 + block.shape[0]] = kept.sum(axis=1)
+    np.cumsum(counts, out=counts)
+    nnz = int(counts[-1])
+    # the index dtype scipy picks for these arrays
+    index = np.int32 if max(n, r, nnz) <= np.iinfo(np.int32).max else np.int64
+    indptr = counts.astype(index)
+    data = np.empty(nnz)
+    indices = np.empty(nnz, dtype=index)
+    columns = np.tile(np.arange(r, dtype=index), buf.shape[0])
+    gram = np.zeros((r, r))
+    for lo, block, out, kept in blocks():
+        if mode == "soft":
+            np.subtract(block, np.clip(block, -thr, thr, out=out), out=out)
+        else:
+            np.multiply(block, kept, out=out)
+        gram += out.T @ out
+        flat = np.flatnonzero(kept)
+        span = slice(indptr[lo], indptr[lo + block.shape[0]])
+        # flat holds in-range positions, so "clip" only skips the bounds check
+        np.take(out.reshape(-1), flat, out=data[span], mode="clip")
+        np.take(columns, flat, out=indices[span], mode="clip")
+    return sp.csr_matrix((data, indices, indptr), shape=(n, r)), gram
 
 
 def soft_threshold_basis(u, lam: float) -> sp.csr_matrix:
     """Entrywise shrinkage sign(u) max(0, |u| - lambda / sqrt(N r))."""
-    return _threshold(u, lam, "soft")
+    return _threshold(u, lam, "soft")[0]
 
 
 def hard_threshold_basis(u, lam: float) -> sp.csr_matrix:
     """Keep entries with |u| >= lambda / sqrt(N r) (inclusive), zero the rest."""
-    return _threshold(u, lam, "hard")
+    return _threshold(u, lam, "hard")[0]
 
 
 def sparsify_model(model: LowRankPrecision, lam: float, mode: str = "soft",
@@ -128,12 +166,12 @@ def sparsify_model(model: LowRankPrecision, lam: float, mode: str = "soft",
     u = model.basis_a
     if sp.issparse(u):
         u = u.toarray()
-    sparse_u = _threshold(u, lam, mode)
+    sparse_u, gram = _threshold(u, lam, mode)
     n, r = u.shape
     # exact smallest eigenvalue beta - mu from the r x r Gram matrix of the
-    # low-rank part; costs O(n r^2), never materializes n x n
+    # low-rank part, summed while thresholding; never materializes n x n
     if r:
-        lam_max = _low_rank_top_eigval(sparse_u, d)
+        lam_max = _low_rank_top_eigval(sparse_u, d, gram=gram)
         if lam_max > beta - alpha:
             # scaling the basis by s scales the Gram spectrum by s^2; this
             # pulls the smallest eigenvalue back up to alpha, keeps the

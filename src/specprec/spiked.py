@@ -240,6 +240,8 @@ def gaussian_kl(p_cov: FactoredCovariance, q_model: LowRankPrecision,
         w = np.asarray(a.T @ diff).ravel()
         mean_term = float(w @ (dq * w) + c * (diff @ diff))
     kl = 0.5 * (tr - n - logdet_p - logdet_q + mean_term)
+    if not np.isfinite(kl):
+        raise NumericError("KL divergence is not finite", kl=float(kl))
     if kl < -1e-8 * max(1.0, abs(tr)):
         raise NumericError("negative KL divergence; inputs are inconsistent",
                            kl=float(kl))

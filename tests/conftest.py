@@ -37,3 +37,15 @@ def random_orthonormal_model(rng, n, r, c=1.0, mean=None):
     return LowRankPrecision(basis_a=q, diag_d=d, c=c, mean=mean,
                             orthonormal=True,
                             bounds=EigenBounds(alpha=alpha, beta=c))
+
+
+def sparse_orthonormal_basis(rng, n, r):
+    """N x r CSR basis with orthonormal columns on disjoint row sets; every
+    row but one in r holds only exact zeros."""
+    import scipy.sparse as sp
+
+    dense = np.zeros((n, r))
+    for t in range(r):
+        col = rng.standard_normal(len(range(t, n, r)))
+        dense[t::r, t] = col / np.linalg.norm(col)
+    return sp.csr_matrix(dense)

@@ -112,6 +112,19 @@ def test_standardize_requires_centered():
         standardize(DataMatrix(values=[[1.0, 2.0]]))
 
 
+def test_standardize_peak_is_one_scaled_copy(rng):
+    import tracemalloc
+
+    centred = center(DataMatrix(values=rng.standard_normal((1 << 16, 64))))
+    tracemalloc.start()
+    try:
+        standardize(centred)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * centred.values.nbytes
+
+
 def test_split_even():
     d = DataMatrix(values=np.arange(18.0).reshape(2, 9))
     parts = split(d, (1 / 3, 1 / 3, 1 / 3), seed=7)

@@ -13,7 +13,10 @@ from specprec import (DataError, DataMatrix, EigenBounds, LowRankPrecision,
                       soft_threshold_basis)
 from specprec.oracle import dense_conditional, dense_loglik
 
-from conftest import random_orthonormal_model
+from specprec.model import _ROW_BLOCK
+from specprec.sparsify import sparsify_model
+
+from conftest import random_orthonormal_model, sparse_orthonormal_basis
 
 
 def iso_model(n, c=1.0, mean=None):
@@ -123,6 +126,99 @@ def test_conditional_requires_orthonormal(rng):
         conditional(m, [0, 1], [2, 3], np.zeros(2))
 
 
+# -- conditional and average_log_likelihood read the basis in row blocks ------
+
+def _flat_average_loglik(m, xs):
+    """The whole-matrix formula the row-block pass replaced."""
+    z = xs - m.mean[:, None]
+    w = m.basis_a.T @ z
+    quad = np.einsum("rt,r,rt->t", w, m.diag_d, w) + m.c * (z * z).sum(axis=0)
+    return float(m.logdet - quad.mean())
+
+
+def _flat_conditional_mean(m, p1, p2, x2):
+    """The gather-both-parts formula the N-vector product replaced."""
+    a = m.basis_a.toarray() if sp.issparse(m.basis_a) else m.basis_a
+    u1, u2 = a[p1], a[p2]
+    w = m.diag_d * (u2.T @ (x2 - m.mean[p2]))
+    s = np.linalg.solve(m.diag_d[:, None] * (u1.T @ u1) + m.c * np.eye(m.rank), w)
+    return m.mean[p1] - u1 @ s
+
+
+def _dense_and_csr_models(rng, n, r):
+    """A dense orthonormal model, the same kind with a CSR basis, and a
+    sparsified (non-orthonormal, certified) CSR model."""
+    dense = random_orthonormal_model(rng, n, r, c=1.3, mean=rng.standard_normal(n))
+    d = -rng.uniform(0.1, 0.9, size=r)
+    csr = LowRankPrecision(basis_a=sparse_orthonormal_basis(rng, n, r), diag_d=d, c=1.0,
+                           mean=rng.standard_normal(n), orthonormal=True,
+                           bounds=EigenBounds(1.0 + d.min(), 1.0))
+    sparsified, _ = sparsify_model(dense, 1.0, "soft")
+    return dense, csr, sparsified
+
+
+def test_average_loglik_dense_oracle_dense_and_csr(rng):
+    for m in _dense_and_csr_models(rng, 150, 4):
+        xs = m.mean[:, None] + rng.standard_normal((150, 7))
+        want = np.mean([dense_loglik(materialize_dense(m), m.mean, xs[:, t])
+                        for t in range(7)])
+        assert abs(average_log_likelihood(m, xs) - want) <= 1e-9 * abs(want)
+
+
+def test_conditional_dense_oracle_csr_basis(rng):
+    _, m, _ = _dense_and_csr_models(rng, 120, 4)
+    perm = rng.permutation(120)
+    p1, p2 = perm[:50], perm[50:]
+    x2 = rng.standard_normal(70)
+    mu, cond = conditional(m, p1, p2, x2)
+    dense_mu, dense_prec = dense_conditional(materialize_dense(m), m.mean, p1, p2, x2)
+    np.testing.assert_allclose(mu, dense_mu, atol=1e-9)
+    np.testing.assert_allclose(materialize_dense(cond), dense_prec, atol=1e-9)
+
+
+def test_blocked_queries_match_flat_formulas_across_blocks(rng):
+    n = 2 * _ROW_BLOCK + 37
+    xs = rng.standard_normal((n, 9)) + 3.0
+    perm = rng.permutation(n)
+    p1, p2 = np.sort(perm[:300]), perm[300:]
+    for m in _dense_and_csr_models(rng, n, 6):
+        want = _flat_average_loglik(m, xs)
+        assert abs(average_log_likelihood(m, xs) - want) <= 1e-12 * abs(want)
+        if m.orthonormal:
+            mu, _ = conditional(m, p1, p2, xs[p2, 0])
+            want_mu = _flat_conditional_mean(m, p1, p2, xs[p2, 0])
+            assert np.abs(mu - want_mu).max() <= 1e-12 * np.abs(want_mu).max()
+
+
+def test_average_loglik_rejects_mismatched_samples(rng):
+    m = random_orthonormal_model(rng, 6, 2)
+    with pytest.raises(UsageError):
+        average_log_likelihood(m, np.zeros((5, 3)))
+
+
+def _traced_peak(fn, *args):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_conditional_and_loglik_peaks_are_block_sized():
+    rng = np.random.default_rng(3)
+    n = 1 << 16
+    m = random_orthonormal_model(rng, n, 32, mean=rng.standard_normal(n))
+    perm = rng.permutation(n)
+    p1, p2 = np.sort(perm[:n // 16]), np.sort(perm[n // 16:])
+    x2 = rng.standard_normal(p2.size)
+    assert _traced_peak(conditional, m, p1, p2, x2) <= 0.25 * m.basis_a.nbytes
+    xs = rng.standard_normal((n, 64))
+    assert _traced_peak(average_log_likelihood, m, xs) <= 0.25 * xs.nbytes
+
+
 def rank_one_pair_model():
     a = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
     return LowRankPrecision(basis_a=a, diag_d=np.array([-0.25]), c=1.0,
@@ -155,6 +251,15 @@ def test_partial_correlation_index_errors(rng):
         partial_correlation(m, 0, 4)
     with pytest.raises(UsageError):
         partial_correlation(m, 2, 2)
+
+
+def test_partial_correlation_refuses_nan_basis():
+    # a certified model is not checked for a finite basis; d1 <= 0 is False
+    # for NaN, so the check is written the other way round
+    m = LowRankPrecision(basis_a=np.array([[np.nan], [0.5]]), diag_d=np.array([-0.5]),
+                         c=1.0, mean=np.zeros(2), pd_certified=True)
+    with pytest.raises(NumericError):
+        partial_correlation(m, 0, 1)
 
 
 def test_screen_rank_zero():

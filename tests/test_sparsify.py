@@ -2,13 +2,19 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from specprec import (LowRankPrecision, NumericError, UsageError,
+from specprec import (EigenBounds, LowRankPrecision, NumericError, UsageError,
                       eigen_bounds, expected_offdiag_density,
                       hard_threshold_basis, kl_degradation_bound,
                       materialize_dense, measure_density, riccati_fit,
                       soft_threshold_basis, sparsify_model, thin_svd)
 
-from conftest import centered_data
+from specprec import model as model_mod
+from specprec.model import _low_rank_top_eigval
+from specprec.sparsify import _threshold
+
+from conftest import centered_data, random_orthonormal_model, sparse_orthonormal_basis
+
+BLOCK = model_mod._ROW_BLOCK
 
 
 def test_soft_threshold_identity_at_zero(rng):
@@ -211,3 +217,126 @@ def test_density_formula_is_expectation_not_pointwise():
     chol = np.linalg.cholesky(m)
     assert measure_density(m)[0] < 1.0
     assert measure_density(chol)[1] > measure_density(m)[1]
+
+
+# -- the fused row-block threshold against the single-array one it replaced ---
+
+def _flat_threshold(u, lam, mode):
+    """Threshold the whole basis at once, then sum A^T A from the CSR."""
+    u = np.ascontiguousarray(u, dtype=np.float64)
+    n, r = u.shape
+    if r == 0:
+        return sp.csr_matrix((n, 0)), np.zeros((0, 0))
+    thr = lam / np.sqrt(n * r)
+    flat = u.reshape(-1)
+    kept = np.flatnonzero(np.abs(flat) > thr if mode == "soft" else np.abs(flat) >= thr)
+    vals = flat[kept]
+    if mode == "soft":
+        vals = np.sign(vals) * (np.abs(vals) - thr)
+    elif thr == 0.0:
+        nonzero = vals != 0.0
+        kept, vals = kept[nonzero], vals[nonzero]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(kept // r, minlength=n), out=indptr[1:])
+    csr = sp.csr_matrix((vals, kept % r, indptr), shape=(n, r))
+    return csr, model_mod._gram(csr)
+
+
+def _flat_sparsify_basis(m, lam, mode):
+    """sparsify_model's basis and lower bound computed the flat way."""
+    u = m.basis_a.toarray() if sp.issparse(m.basis_a) else m.basis_a
+    csr, _ = _flat_threshold(u, lam, mode)
+    beta = m.bounds.beta
+    lam_max = _low_rank_top_eigval(csr, m.diag_d)
+    if lam_max > beta - m.bounds.alpha:
+        scale2 = (beta - m.bounds.alpha) / lam_max
+        csr.data *= np.sqrt(scale2)
+        lam_max *= scale2
+    return csr, beta - lam_max
+
+
+def _assert_same_bytes(got, want):
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.shape == want.shape
+
+
+def _assert_same_threshold(u, lam, mode):
+    got, gram = _threshold(u, lam, mode)
+    want, want_gram = _flat_threshold(u, lam, mode)
+    _assert_same_bytes(got, want)
+    assert gram.dtype == want_gram.dtype and gram.tobytes() == want_gram.tobytes()
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.7, 4.0])
+@pytest.mark.parametrize("mode", ["soft", "hard"])
+def test_fused_threshold_is_bit_identical_across_blocks(rng, lam, mode):
+    n = 2 * BLOCK + 37
+    u, _ = np.linalg.qr(rng.standard_normal((n, 9)))
+    _assert_same_threshold(u, lam, mode)
+    # the public entry points return the CSR alone
+    fn = soft_threshold_basis if mode == "soft" else hard_threshold_basis
+    _assert_same_bytes(fn(u, lam), _flat_threshold(u, lam, mode)[0])
+
+
+def test_fused_hard_threshold_at_zero_drops_exact_zeros(rng):
+    u = sparse_orthonormal_basis(rng, 2 * BLOCK + 37, 6).toarray()
+    u[5, 1] = -0.0
+    assert np.count_nonzero(u) < u.size
+    _assert_same_threshold(u, 0.0, "hard")
+    got, _ = _threshold(u, 0.0, "hard")
+    assert got.nnz == np.count_nonzero(u)
+
+
+def test_fused_threshold_rank_zero():
+    for mode in ("soft", "hard"):
+        _assert_same_threshold(np.zeros((5, 0)), 1.0, mode)
+
+
+def test_threshold_rejects_nan_lambda(rng):
+    with pytest.raises(UsageError):
+        soft_threshold_basis(np.eye(3), float("nan"))
+
+
+@pytest.mark.parametrize("mode", ["soft", "hard"])
+def test_sparsify_sparse_input_basis_matches_flat(rng, mode):
+    n, r = 2 * BLOCK + 37, 5
+    basis = sparse_orthonormal_basis(rng, n, r)
+    d = -rng.uniform(0.1, 0.9, size=r)
+    m = LowRankPrecision(basis_a=basis, diag_d=d, c=1.0, mean=np.zeros(n),
+                         orthonormal=True, bounds=EigenBounds(1.0 + d.min(), 1.0))
+    sm, _ = sparsify_model(m, 3.0, mode)
+    want, smallest = _flat_sparsify_basis(m, 3.0, mode)
+    _assert_same_bytes(sm.basis_a, want)
+    assert sm.bounds.alpha == smallest and sm.c == m.c
+
+
+def test_sparsify_rescale_matches_flat():
+    # the instance of test_hard_threshold_can_break_lower_eigen_bound, whose
+    # hard-thresholded basis is rescaled
+    m = _riccati_model(np.random.default_rng(6), n=20, t=5, rho=0.4)
+    sm, _ = sparsify_model(m, 1.0, "hard")
+    want, smallest = _flat_sparsify_basis(m, 1.0, "hard")
+    assert _low_rank_top_eigval(hard_threshold_basis(m.basis_a, 1.0), m.diag_d) > (
+        m.bounds.beta - m.bounds.alpha)
+    _assert_same_bytes(sm.basis_a, want)
+    assert sm.bounds.alpha == smallest
+
+
+def test_sparsify_peak_is_below_the_basis_bytes():
+    import tracemalloc
+
+    rng = np.random.default_rng(7)
+    m = random_orthonormal_model(rng, 1 << 16, 32)
+    m = LowRankPrecision(basis_a=np.ascontiguousarray(m.basis_a), diag_d=m.diag_d, c=m.c,
+                         mean=m.mean, orthonormal=True, bounds=m.bounds)
+    tracemalloc.start()
+    try:
+        sm, _ = sparsify_model(m, 4.0, "soft")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.2 < sm.basis_a.nnz / m.basis_a.size < 0.8
+    assert peak <= 1.0 * m.basis_a.nbytes

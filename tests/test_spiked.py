@@ -155,6 +155,22 @@ def test_gaussian_kl_matches_dense_oracle(rng):
     assert got == pytest.approx(want, abs=1e-8)
 
 
+def test_gaussian_kl_refuses_non_finite_inputs():
+    from specprec.spiked import FactoredCovariance
+    n = 3
+    p = FactoredCovariance(basis_u=np.zeros((n, 0)), diag_d=np.zeros(0), iso=1.0)
+    nan_basis = LowRankPrecision(basis_a=np.array([[np.nan], [0.0], [0.0]]),
+                                 diag_d=np.array([-0.5]), c=1.0, mean=np.zeros(n),
+                                 pd_certified=True)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+        gaussian_kl(p, nan_basis)
+    # max(kl, 0.0) returns NaN for a NaN kl, so kl itself must be checked
+    iso = LowRankPrecision(basis_a=np.zeros((n, 0)), diag_d=np.zeros(0), c=1.0,
+                           mean=np.zeros(n), orthonormal=True)
+    with pytest.raises(NumericError):
+        gaussian_kl(p, iso, p_mean=np.array([np.nan, 0.0, 0.0]))
+
+
 def test_gaussian_kl_nonnegative_on_random_pairs(rng):
     for seed in range(5):
         truth = random_spiked(20, 2, 1.0, 0.3, seed=seed)
