@@ -83,7 +83,9 @@ def _centered_validation(args, mean, scale):
     if val.n_vars != mean.size:
         raise DataError("validation data dimension mismatch",
                         expected=mean.size, got=val.n_vars)
-    return dataset.DataMatrix(values=(val.values - mean[:, None]) / scale[:, None])
+    z = val.values - mean[:, None]
+    z /= scale[:, None]
+    return dataset._adopt(values=z)
 
 
 def cmd_fit(args) -> int:
@@ -215,7 +217,7 @@ def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     rows = []
     for n in n_grid:
-        raw = dataset.DataMatrix(values=rng.standard_normal((n, args.t)))
+        raw = dataset._adopt(values=rng.standard_normal((n, args.t)))
         best = np.inf
         for _ in range(args.repeats):
             t0 = time.perf_counter()

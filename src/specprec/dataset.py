@@ -9,7 +9,7 @@ sqrt((1/T) sum x^2) so that standardized data has unit diagonal covariance.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,10 @@ __all__ = ["DataMatrix", "load_csv", "write_csv", "center", "row_scale", "standa
            "split"]
 
 _FLOAT_FMT = "%.17g"
+# the characters of a finite value formatted with _FLOAT_FMT and of csv
+# quoting; write_csv refuses them as delimiters
+_FIELD_CHARS = frozenset("0123456789+-.e\"\r\n")
+_WRITE_BLOCK = 1 << 16  # values formatted per write
 
 
 @dataclass(frozen=True)
@@ -129,22 +133,32 @@ def load_csv(path, delimiter: str = ",", has_header: bool = False,
                             expected=width, got=len(r))
     mat = np.array(rows, dtype=np.float64)
     if orientation == "samples-as-rows":
-        mat = mat.T
-    return DataMatrix(values=mat, variable_names=names)
+        mat = np.ascontiguousarray(mat.T)
+    return _adopt(values=mat, variable_names=names)
 
 
 def write_csv(data: DataMatrix, path, delimiter: str = ",",
               orientation: str = "variables-as-rows") -> None:
-    """Write values with 17-significant-digit decimals for round-trip fidelity."""
+    """Write values with 17-significant-digit decimals for round-trip fidelity.
+
+    The delimiter must be one character that no formatted value contains,
+    so no field ever needs quoting: a digit, ``+ - . e``, a quote or a line
+    break is refused.  Rows are formatted a block at a time with one line
+    template; only the header goes through ``csv.writer``.
+    """
     if orientation not in ("variables-as-rows", "samples-as-rows"):
         raise UsageError("unknown orientation", orientation=orientation)
+    if not isinstance(delimiter, str) or len(delimiter) != 1 or delimiter in _FIELD_CHARS:
+        raise UsageError("delimiter must be one character that cannot occur in a "
+                         "formatted value", delimiter=delimiter)
     mat = data.values if orientation == "variables-as-rows" else data.values.T
+    line = delimiter.replace("%", "%%").join([_FLOAT_FMT] * mat.shape[1]) + "\r\n"
+    step = max(1, _WRITE_BLOCK // mat.shape[1])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
         if orientation == "samples-as-rows" and data.variable_names is not None:
-            writer.writerow(data.variable_names)
-        for row in mat:
-            writer.writerow([_FLOAT_FMT % v for v in row])
+            csv.writer(fh, delimiter=delimiter).writerow(data.variable_names)
+        for lo in range(0, mat.shape[0], step):
+            fh.write("".join([line % tuple(row) for row in mat[lo:lo + step].tolist()]))
 
 
 def _adopt(**fields) -> DataMatrix:
@@ -217,9 +231,7 @@ def split(data: DataMatrix, fractions: tuple[float, float, float],
     start = 0
     for s in sizes:
         cols = np.sort(perm[start:start + s])
-        parts.append(DataMatrix(values=data.values[:, cols],
-                                mean=None,
-                                standardized=False,
-                                variable_names=data.variable_names))
+        parts.append(_adopt(values=data.values[:, cols],
+                            variable_names=data.variable_names))
         start += s
     return tuple(parts)

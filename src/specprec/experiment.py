@@ -72,7 +72,7 @@ def run_scenario(config: ScenarioConfig):
         val = spiked.sample(truth, config.t_val, config.entry_dist, s_val)
         train_c = dataset.center(train)
         # validation columns centered with the *training* mean
-        val_c = dataset.DataMatrix(values=val.values - train_c.mean[:, None])
+        val_c = dataset._adopt(values=val.values - train_c.mean[:, None])
         basis = spectral.thin_svd(train_c)
         p_cov = spiked.true_covariance(truth)
         for method in ("riccati", "tikhonov"):

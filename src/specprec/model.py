@@ -58,6 +58,22 @@ def _is_sparse(a) -> bool:
 _ROW_BLOCK = 4096
 
 
+def _csr_block(a, lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
+    """Rows lo:hi of the CSR matrix ``a`` as a dense block in ``buf``.
+
+    The stored entries are added into zeros in storage order, duplicates
+    included, as ``a[lo:hi].toarray()`` adds them, so the block is equal bit
+    for bit; but no row slice of the CSR is copied, as scipy's slicing does.
+    """
+    block = buf[:hi - lo]
+    block.fill(0.0)
+    start, stop = a.indptr[lo], a.indptr[hi]
+    rows = np.repeat(np.arange(hi - lo), np.diff(a.indptr[lo:hi + 1]))
+    np.add.at(block.reshape(-1), rows * a.shape[1] + a.indices[start:stop],
+              a.data[start:stop])
+    return block
+
+
 def _gram(a) -> np.ndarray:
     """A^T A as a dense r x r array.
 
@@ -68,9 +84,11 @@ def _gram(a) -> np.ndarray:
     if not _is_sparse(a):
         return np.asarray(a.T @ a)
     a = a.tocsr()
-    g = np.zeros((a.shape[1], a.shape[1]))
-    for lo in range(0, a.shape[0], _ROW_BLOCK):
-        block = a[lo:lo + _ROW_BLOCK].toarray()
+    n, r = a.shape
+    g = np.zeros((r, r))
+    buf = np.empty((min(n, _ROW_BLOCK), r))
+    for lo in range(0, n, _ROW_BLOCK):
+        block = _csr_block(a, lo, min(n, lo + _ROW_BLOCK), buf)
         g += block.T @ block
     return g
 
@@ -288,20 +306,27 @@ def average_log_likelihood(model: LowRankPrecision, samples) -> float:
 
     The centred samples Z = X - mu are formed one row block at a time in one
     block-sized buffer, and each block adds its share of W = A^T Z and of
-    the column norms z_t^T z_t, so no N x T temporary is built.
+    the column norms z_t^T z_t, so no N x T temporary is built.  A sparse
+    basis is densified a block at a time into one buffer, so it scores as
+    its dense copy does.
     """
     model._require_pd("average_log_likelihood")
     values = np.asarray(getattr(samples, "values", samples), dtype=np.float64)
-    n, r = model.basis_a.shape
+    a = model.basis_a
+    n, r = a.shape
     if values.ndim != 2 or values.shape[0] != n:
         raise UsageError("samples must be an N x T matrix", n=n, got=values.shape)
+    if _is_sparse(a):
+        a = a.tocsr()
+        a_buf = np.empty((min(n, _ROW_BLOCK), r))
     w = np.zeros((r, values.shape[1]))
     norms = np.zeros(values.shape[1])
     buf = np.empty((min(n, _ROW_BLOCK), values.shape[1]))
     for lo in range(0, n, _ROW_BLOCK):
         hi = min(n, lo + _ROW_BLOCK)
         z = np.subtract(values[lo:hi], model.mean[lo:hi, None], out=buf[:hi - lo])
-        w += model.basis_a[lo:hi].T @ z
+        a_blk = _csr_block(a, lo, hi, a_buf) if _is_sparse(a) else a[lo:hi]
+        w += a_blk.T @ z
         norms += np.einsum("nt,nt->t", z, z)
     quad = np.einsum("rt,r,rt->t", w, model.diag_d, w) + model.c * norms
     return float(model.logdet - quad.mean())

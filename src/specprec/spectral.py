@@ -248,11 +248,9 @@ def solution_path(basis: SpectralBasis, rhos, method: str = "riccati") -> Regula
         raise UsageError("rho grid is empty")
     if np.any(rhos <= 0):
         raise UsageError("all rhos must be positive")
-    diags = np.empty((rhos.size, basis.rank))
-    cs = np.empty(rhos.size)
-    for i, rho in enumerate(rhos):
-        diags[i], cs[i] = _DIAG_MAPS[method](basis.cov_eigvals, float(rho))
-    return RegularizationPath(basis=basis, rhos=rhos, diags=diags, cs=cs,
+    # one broadcast call; each row equals the map's scalar call bit for bit
+    diags, cs = _DIAG_MAPS[method](basis.cov_eigvals, rhos[:, None])
+    return RegularizationPath(basis=basis, rhos=rhos, diags=diags, cs=cs.ravel(),
                               method=method)
 
 

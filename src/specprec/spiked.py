@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import DataMatrix
+from .dataset import DataMatrix, _adopt
 from .errors import NumericError, UsageError
-from .model import (EigenBounds, LowRankPrecision, _require_orthonormal,
+from .model import (_ROW_BLOCK, EigenBounds, LowRankPrecision, _require_orthonormal,
                     _spectrum_logdet, _with_checked_basis)
 
 __all__ = [
@@ -94,23 +94,51 @@ def random_spiked(n: int, k: int, beta: float, density: float, seed: int) -> Spi
 
 def sample(model: SpikedModel, t: int, entry_dist: str = "gaussian",
            seed: int = 0) -> DataMatrix:
-    """Draw t samples, O(N (K + 1)) each; not centered."""
+    """Draw t samples, O(N (K + 1)) each; not centered.
+
+    The noise is drawn into the returned N x T array and scaled in place,
+    and U sqrt(D) y is added a block at a time on the rows where U is
+    nonzero.  Every draw and sum is that of U (sqrt(D) y) + sqrt(beta/N) xi.
+    """
     if t < 1:
         raise UsageError("need at least one sample", t=t)
     rng = np.random.default_rng(seed)
-    n, k = model.basis_u.shape
+    u = model.basis_u
+    n, k = u.shape
+    x = np.empty((n, t))
     if entry_dist == "gaussian":
         y = rng.standard_normal((k, t))
-        xi = rng.standard_normal((n, t))
+        rng.standard_normal(out=x)
     elif entry_dist == "rademacher":
         y = rng.integers(0, 2, size=(k, t)).astype(np.float64) * 2.0 - 1.0
-        xi = rng.integers(0, 2, size=(n, t)).astype(np.float64) * 2.0 - 1.0
+        # drawn in row blocks: the integer stream is the same as one draw's
+        for lo in range(0, n, _ROW_BLOCK):
+            bits = rng.integers(0, 2, size=(min(_ROW_BLOCK, n - lo), t))
+            x[lo:lo + _ROW_BLOCK] = bits * 2.0 - 1.0
     else:
         raise UsageError("entry_dist must be 'gaussian' or 'rademacher'",
                          entry_dist=entry_dist)
-    x = model.basis_u @ (np.sqrt(model.diag_d)[:, None] * y)
-    x += np.sqrt(model.beta / n) * xi
-    return DataMatrix(values=x)
+    x *= np.sqrt(model.beta / n)
+    spike = np.sqrt(model.diag_d)[:, None] * y
+    for rows in _spike_row_blocks(u, t):
+        x[rows] += u[rows] @ spike
+    return _adopt(values=x)
+
+
+def _spike_row_blocks(u: np.ndarray, t: int):
+    """Row blocks that cover every nonzero row of U, chosen so that each
+    block's product sums every entry as U @ (sqrt(D) y) does.
+
+    numpy hands a product with one column or one row to gemv, whose sums
+    depend on the row count, and any other to gemm (or, for K = 1, forms
+    each entry as one product).  So for t = 1 all N rows form one block;
+    otherwise every block has at least two rows, since a single nonzero row
+    means K = 1 for an orthonormal U.
+    """
+    if t == 1:
+        return [slice(None)]
+    rows = np.flatnonzero(np.any(u, axis=1))
+    return np.array_split(rows, max(1, -(-rows.size // _ROW_BLOCK)))
 
 
 @dataclass(frozen=True)

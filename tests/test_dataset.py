@@ -174,3 +174,52 @@ def test_csv_roundtrip_bit_exact(tmp_path, rng):
     write_csv(d, path)
     back = load_csv(path)
     np.testing.assert_array_equal(back.values, d.values)
+
+
+def _csv_writer_output(data, path, delimiter=",", orientation="variables-as-rows"):
+    """The writer write_csv replaced: every row through csv.writer."""
+    import csv
+
+    mat = data.values if orientation == "variables-as-rows" else data.values.T
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, delimiter=delimiter)
+        if orientation == "samples-as-rows" and data.variable_names is not None:
+            writer.writerow(data.variable_names)
+        for row in mat:
+            writer.writerow(["%.17g" % v for v in row])
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("delimiter", [",", "\t", ";", "%", " "])
+@pytest.mark.parametrize("orientation", ["variables-as-rows", "samples-as-rows"])
+def test_write_csv_bytes_match_csv_writer(tmp_path, rng, delimiter, orientation):
+    n = 7
+    values = rng.standard_normal((n, 5)) * 10.0 ** rng.integers(-30, 30, (n, 5))
+    values[0, :3] = [0.0, -0.0, 1.0]
+    names = ("plain", "with,comma", 'a "quote"', "semi;colon", "tab\there", "%d", "x y")
+    for data in (DataMatrix(values=values, variable_names=names),
+                 DataMatrix(values=values[:, :1])):  # T = 1
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_csv(data, got, delimiter=delimiter, orientation=orientation)
+        assert got.read_bytes() == _csv_writer_output(data, want, delimiter, orientation)
+
+
+def test_write_csv_blocks_match_csv_writer(tmp_path, rng):
+    from specprec.dataset import _WRITE_BLOCK
+
+    data = DataMatrix(values=rng.standard_normal((_WRITE_BLOCK + 3, 1)),
+                      variable_names=tuple(f"v{i}" for i in range(_WRITE_BLOCK + 3)))
+    for orientation in ("samples-as-rows", "variables-as-rows"):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_csv(data, got, orientation=orientation)
+        assert got.read_bytes() == _csv_writer_output(data, want, ",", orientation)
+    wide = DataMatrix(values=rng.standard_normal((3, _WRITE_BLOCK + 5)))  # > 1 block per row
+    write_csv(wide, got)
+    assert got.read_bytes() == _csv_writer_output(wide, want)
+
+
+@pytest.mark.parametrize("delimiter", list("0123456789+-.e\"\r\n") + ["", ",,", None])
+def test_write_csv_refuses_delimiters_a_value_could_contain(tmp_path, delimiter):
+    with pytest.raises(UsageError):
+        write_csv(DataMatrix(values=[[1.0]]), tmp_path / "x.csv", delimiter=delimiter)
+    assert not (tmp_path / "x.csv").exists()

@@ -190,6 +190,40 @@ def test_blocked_queries_match_flat_formulas_across_blocks(rng):
             assert np.abs(mu - want_mu).max() <= 1e-12 * np.abs(want_mu).max()
 
 
+def _non_canonical_csr(rng, n, r, nnz):
+    """CSR with unsorted and duplicated column indices and stored zeros of
+    both signs."""
+    rows = np.sort(rng.integers(0, n, nnz))
+    data = rng.standard_normal(nnz)
+    data[::7], data[::11] = -0.0, 0.0
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    a = sp.csr_matrix((data, rng.integers(0, r, nnz).astype(np.int32), indptr), shape=(n, r))
+    assert not a.has_canonical_format
+    return a
+
+
+def test_csr_blocks_equal_sliced_toarray_across_a_short_last_block(rng):
+    from specprec.model import _csr_block, _gram
+
+    n, r = 2 * _ROW_BLOCK + 37, 6
+    for a in (sp.random(n, r, density=0.3, format="csr", random_state=8),
+              _non_canonical_csr(rng, n, r, 20000)):
+        buf = np.empty((_ROW_BLOCK, r))
+        want_gram = np.zeros((r, r))
+        for lo in range(0, n, _ROW_BLOCK):
+            want = a[lo:lo + _ROW_BLOCK].toarray()
+            got = _csr_block(a, lo, min(n, lo + _ROW_BLOCK), buf)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            want_gram += want.T @ want
+        assert np.array_equal(_gram(a).view(np.int64), want_gram.view(np.int64))
+        m_csr = LowRankPrecision(basis_a=a, diag_d=np.full(r, 1e-3), c=1.0,
+                                 mean=rng.standard_normal(n), pd_certified=True)
+        m_dense = LowRankPrecision(basis_a=a.toarray(), diag_d=m_csr.diag_d, c=1.0,
+                                   mean=m_csr.mean, pd_certified=True)
+        xs = rng.standard_normal((n, 5))
+        assert average_log_likelihood(m_csr, xs) == average_log_likelihood(m_dense, xs)
+
+
 def test_average_loglik_rejects_mismatched_samples(rng):
     m = random_orthonormal_model(rng, 6, 2)
     with pytest.raises(UsageError):

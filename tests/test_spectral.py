@@ -291,6 +291,25 @@ def test_path_singleton_consistency(rng):
     assert entry.basis_a is direct.basis_a
 
 
+@pytest.mark.parametrize("method", ["riccati", "tikhonov"])
+def test_path_rows_equal_direct_fits_bit_for_bit(method):
+    rng = np.random.default_rng(909)
+    fit = riccati_fit if method == "riccati" else tikhonov_fit
+    for _ in range(200):
+        r = int(rng.integers(0, 30))
+        s = np.sort(10.0 ** rng.uniform(-4, 2, r))[::-1]
+        b = SpectralBasis(basis_u=np.eye(r + 2)[:, :r], data_singvals=s,
+                          cov_eigvals=s * s / 64, n_vars=r + 2, n_samples=64,
+                          mean=np.zeros(r + 2))
+        rhos = 10.0 ** rng.uniform(-6, 3, int(rng.integers(1, 40)))
+        path = solution_path(b, rhos, method)
+        assert path.diags.shape == (rhos.size, b.rank) and path.cs.shape == rhos.shape
+        for i, rho in enumerate(rhos):
+            direct = fit(b, float(rho))
+            assert np.array_equal(path.diags[i].view(np.int64), direct.diag_d.view(np.int64))
+            assert path.cs[i] == direct.c
+
+
 def test_path_shared_basis(rng):
     b = thin_svd(centered_data(rng, 8, 4))
     path = solution_path(b, [0.1, 1.0], "tikhonov")

@@ -66,6 +66,65 @@ def test_sample_empirical_covariance(rng):
     np.testing.assert_allclose(emp, true_covariance(m).materialize(), atol=0.08)
 
 
+def _flat_sample(model, t, entry_dist, seed):
+    """The formula sample() used before it drew the noise in place."""
+    rng = np.random.default_rng(seed)
+    n, k = model.basis_u.shape
+    if entry_dist == "gaussian":
+        y = rng.standard_normal((k, t))
+        xi = rng.standard_normal((n, t))
+    else:
+        y = rng.integers(0, 2, size=(k, t)).astype(np.float64) * 2.0 - 1.0
+        xi = rng.integers(0, 2, size=(n, t)).astype(np.float64) * 2.0 - 1.0
+    x = model.basis_u @ (np.sqrt(model.diag_d)[:, None] * y)
+    x += np.sqrt(model.beta / n) * xi
+    return x
+
+
+def _block_spiked(rng, n, k, support):
+    """Spike whose K columns share one random set of ``support`` rows."""
+    u = np.zeros((n, k))
+    u[np.sort(rng.choice(n, support, replace=False))] = np.linalg.qr(
+        rng.standard_normal((support, k)))[0]
+    return SpikedModel(basis_u=u, diag_d=rng.uniform(0.5, 1.5, k), beta=2.0, seed=0)
+
+
+@pytest.mark.parametrize("entry_dist", ["gaussian", "rademacher"])
+def test_sample_matches_flat_formula_bit_for_bit(rng, entry_dist):
+    models = [random_spiked(9000, 3, 1.0, 0.01, seed=1),  # sparse support
+              random_spiked(300, 1, 1.0, 1.0, seed=2),  # K = 1, dense
+              random_spiked(50, 1, 1.0, 0.02, seed=3),  # one nonzero row
+              random_spiked(1, 1, 1.0, 1.0, seed=4),
+              _block_spiked(rng, 141, 9, 70),  # shared support, K > 8
+              _block_spiked(rng, 9000, 4, 9000),  # dense, more than two row blocks
+              _block_spiked(rng, 2, 2, 2)]
+    for m in models:
+        for t in (1, 2, 7, 33):
+            got = sample(m, t, entry_dist, seed=t + 17).values
+            want = _flat_sample(m, t, entry_dist, t + 17)
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_sample_peak_is_its_output(rng):
+    import tracemalloc
+
+    m = random_spiked(1 << 16, 8, 16.0, 64 / (1 << 16), seed=6)
+    tracemalloc.start()
+    try:
+        d = sample(m, 64, "gaussian", seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * d.values.nbytes
+
+
+def test_sample_refuses_unknown_distribution():
+    with pytest.raises(UsageError):
+        sample(random_spiked(10, 1, 1.0, 1.0, seed=0), 3, "uniform")
+
+
 def test_true_covariance_examples():
     u = np.zeros((5, 1))
     u[0, 0] = 1.0
