@@ -5,8 +5,8 @@ from .errors import DataError, NumericError, SpecprecError, UsageError
 from .model import (EigenBounds, LowRankPrecision, average_log_likelihood,
                     conditional, important_edges, load_model,
                     load_model_with_rho, log_likelihood, materialize_dense,
-                    orthonormalize, partial_correlation, save_model,
-                    save_model_with_rho, screen_unimportant)
+                    partial_correlation, save_model, save_model_with_rho,
+                    screen_unimportant)
 from .sparsify import (SparsifyReport, expected_offdiag_density,
                        hard_threshold_basis, kl_degradation_bound,
                        measure_density, soft_threshold_basis, sparsify_model)

@@ -14,7 +14,6 @@ import csv
 import json
 import sys
 import time
-import tracemalloc
 
 import numpy as np
 
@@ -50,17 +49,15 @@ def parse_rho_grid(spec: str) -> np.ndarray:
 DEFAULT_RHO_GRID = "0.001:10:log:20"
 
 
-def _load_input(args) -> dataset.DataMatrix:
-    data = dataset.load_csv(args.input, delimiter=args.delimiter,
-                            has_header=args.has_header,
+def _load(args, path) -> dataset.DataMatrix:
+    return dataset.load_csv(path, delimiter=args.delimiter, has_header=args.has_header,
                             orientation=args.orientation)
-    return data
 
 
 def _prepare(args):
     """Training data ready for the SVD, and the training mean and scale that
     put validation columns on the same footing: (x - mean) / scale."""
-    data = dataset.center(_load_input(args))
+    data = dataset.center(_load(args, args.input))
     mean, scale = data.mean, np.ones(data.n_vars)
     if args.standardize:
         scale, _ = dataset.row_scale(data)
@@ -77,9 +74,7 @@ def _write_csv_rows(path, header, rows):
 
 
 def _centered_validation(args, mean, scale):
-    val = dataset.load_csv(args.val, delimiter=args.delimiter,
-                           has_header=args.has_header,
-                           orientation=args.orientation)
+    val = _load(args, args.val)
     if val.n_vars != mean.size:
         raise DataError("validation data dimension mismatch",
                         expected=mean.size, got=val.n_vars)
@@ -133,9 +128,7 @@ def cmd_fit(args) -> int:
 
 def cmd_eval(args) -> int:
     fitted = model_mod.load_model(args.model)
-    data = dataset.load_csv(args.input, delimiter=args.delimiter,
-                            has_header=args.has_header,
-                            orientation=args.orientation)
+    data = _load(args, args.input)
     if data.n_vars != fitted.n_vars:
         raise DataError("test data dimension mismatch",
                         expected=fitted.n_vars, got=data.n_vars)

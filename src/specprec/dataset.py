@@ -48,9 +48,12 @@ class DataMatrix:
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise DataError("values must be a 2-d matrix with at least one row and column",
                             shape=tuple(np.shape(self.values)))
-        if not np.all(np.isfinite(values)):
-            bad = np.argwhere(~np.isfinite(values))[0]
-            raise DataError("non-finite value in data", row=int(bad[0]), col=int(bad[1]))
+        # a finite row sum proves every entry finite; the N x T mask is built
+        # only to locate a bad entry (finite values may overflow a sum)
+        row_sums = values.sum(axis=1)
+        bad = () if np.isfinite(row_sums).all() else np.argwhere(~np.isfinite(values))
+        if len(bad):
+            raise DataError("non-finite value in data", row=int(bad[0, 0]), col=int(bad[0, 1]))
         if copy:
             values = values.copy()
         values.setflags(write=False)
@@ -60,7 +63,7 @@ class DataMatrix:
             if mean.shape != (values.shape[0],):
                 raise DataError("mean length must equal the number of variables",
                                 expected=values.shape[0], got=mean.shape)
-            row_sums = np.abs(values.sum(axis=1))
+            row_sums = np.abs(row_sums)
             # every row's tolerance is at least 1e-9 T, so |values| is read
             # only when some sum exceeds that
             tol = 1e-9 * values.shape[1]
@@ -175,7 +178,9 @@ def _adopt(**fields) -> DataMatrix:
 def center(data: DataMatrix) -> DataMatrix:
     """Subtract each variable's empirical mean; the mean is kept on the result."""
     mu = data.values.mean(axis=1)
-    return _adopt(values=data.values - mu[:, None],
+    values = data.values.copy()
+    values -= mu[:, None]
+    return _adopt(values=values,
                   mean=mu,
                   standardized=data.standardized,
                   variable_names=data.variable_names,

@@ -20,7 +20,6 @@ from .errors import DataError, NumericError, UsageError
 __all__ = [
     "EigenBounds",
     "LowRankPrecision",
-    "orthonormalize",
     "log_likelihood",
     "average_log_likelihood",
     "conditional",
@@ -58,37 +57,41 @@ def _is_sparse(a) -> bool:
 _ROW_BLOCK = 4096
 
 
-def _csr_block(a, lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
-    """Rows lo:hi of the CSR matrix ``a`` as a dense block in ``buf``.
+def _row_blocks(a):
+    """(lo, hi, rows lo:hi of A as a dense float64 array) per ``_ROW_BLOCK`` rows.
 
-    The stored entries are added into zeros in storage order, duplicates
-    included, as ``a[lo:hi].toarray()`` adds them, so the block is equal bit
-    for bit; but no row slice of the CSR is copied, as scipy's slicing does.
+    A dense A yields views.  A sparse A is read as CSR, and each block's
+    stored entries are added into zeros in one reused buffer, in storage
+    order and duplicates included, as ``toarray`` adds them; so every block
+    equals its dense copy's rows bit for bit, stored -0 included, and no row
+    slice of the CSR is copied.  A block is valid until the next is drawn.
     """
-    block = buf[:hi - lo]
-    block.fill(0.0)
-    start, stop = a.indptr[lo], a.indptr[hi]
-    rows = np.repeat(np.arange(hi - lo), np.diff(a.indptr[lo:hi + 1]))
-    np.add.at(block.reshape(-1), rows * a.shape[1] + a.indices[start:stop],
-              a.data[start:stop])
-    return block
+    sparse = _is_sparse(a)
+    a = a.tocsr() if sparse else np.asarray(a, dtype=np.float64)
+    n, r = a.shape
+    buf = np.empty((min(n, _ROW_BLOCK), r)) if sparse else None
+    for lo in range(0, n, _ROW_BLOCK):
+        hi = min(n, lo + _ROW_BLOCK)
+        block = buf[:hi - lo] if sparse else a[lo:hi]
+        if sparse:
+            block.fill(0.0)
+            start, stop = a.indptr[lo], a.indptr[hi]
+            rows = np.repeat(np.arange(hi - lo), np.diff(a.indptr[lo:hi + 1]))
+            np.add.at(block.reshape(-1), rows * r + a.indices[start:stop], a.data[start:stop])
+        yield lo, hi, block
+
+
+def _dense(a) -> np.ndarray:
+    """A basis, usually a few of its rows, as a dense float64 array."""
+    return np.asarray(a.toarray() if _is_sparse(a) else a, dtype=np.float64)
 
 
 def _gram(a) -> np.ndarray:
-    """A^T A as a dense r x r array.
-
-    A sparse A is densified one block of rows at a time and the products are
-    summed with dense BLAS, which is much faster than a sparse x sparse
-    product and never holds an N x r temporary.
-    """
-    if not _is_sparse(a):
-        return np.asarray(a.T @ a)
-    a = a.tocsr()
-    n, r = a.shape
-    g = np.zeros((r, r))
-    buf = np.empty((min(n, _ROW_BLOCK), r))
-    for lo in range(0, n, _ROW_BLOCK):
-        block = _csr_block(a, lo, min(n, lo + _ROW_BLOCK), buf)
+    """A^T A as a dense r x r array, summed over ``_row_blocks`` with dense
+    BLAS, so no N x r temporary is built and a sparse A gives bit for bit
+    what its dense copy gives."""
+    g = np.zeros((a.shape[1],) * 2)
+    for _, _, block in _row_blocks(a):
         g += block.T @ block
     return g
 
@@ -139,12 +142,6 @@ def _low_rank_top_eigval(a, diag_d: np.ndarray, gram=None) -> float:
     return float(np.linalg.eigvalsh(g).max())
 
 
-def _row(a, n: int) -> np.ndarray:
-    if _is_sparse(a):
-        return np.asarray(a[n].todense()).ravel()
-    return np.asarray(a[n])
-
-
 def _column_max(x: np.ndarray) -> np.ndarray:
     """Column maxima of a C-ordered array with few columns.
 
@@ -154,10 +151,6 @@ def _column_max(x: np.ndarray) -> np.ndarray:
     rows, r = x.shape
     fold = 64 if rows % 64 == 0 else 1
     return x.reshape(fold, -1).max(axis=0).reshape(-1, r).max(axis=0)
-
-
-def _squared(a):
-    return a.multiply(a) if _is_sparse(a) else a * a
 
 
 @dataclass(frozen=True)
@@ -262,34 +255,6 @@ def _with_checked_basis(basis_a: np.ndarray, diag_d, c: float, mean,
     return model
 
 
-def orthonormalize(model: LowRankPrecision) -> LowRankPrecision:
-    """Rewrite A diag(d) A^T with d <= 0 in an orthonormal basis.
-
-    Takes the thin SVD of A sqrt(-d) and folds the singular values back in
-    as -s^2, so the materialized matrix is unchanged.  Certifies positive
-    definiteness as a side effect.
-    """
-    d = model.diag_d
-    if d.size and d.max() > 0.0:
-        raise NumericError("orthonormalize requires a non-positive diagonal",
-                           max_diag=float(d.max()))
-    keep = d < 0.0
-    a = model.basis_a
-    if _is_sparse(a):
-        a = a.toarray()
-    b = a[:, keep] * np.sqrt(-d[keep])[None, :]
-    if b.shape[1] == 0:
-        return LowRankPrecision(basis_a=np.zeros((model.n_vars, 0)),
-                                diag_d=np.zeros(0), c=model.c, mean=model.mean,
-                                orthonormal=True, bounds=model.bounds)
-    u, s, _ = np.linalg.svd(b, full_matrices=False)
-    tol = max(b.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    nz = s > tol
-    return LowRankPrecision(basis_a=u[:, nz], diag_d=-s[nz] ** 2,
-                            c=model.c, mean=model.mean,
-                            orthonormal=True, bounds=model.bounds)
-
-
 def log_likelihood(model: LowRankPrecision, x: np.ndarray) -> float:
     """log det Omega - (x - mu)^T Omega (x - mu), evaluated in O(N r)."""
     model._require_pd("log_likelihood")
@@ -305,10 +270,9 @@ def average_log_likelihood(model: LowRankPrecision, samples) -> float:
     """Mean log-likelihood over sample columns (an N x T array or DataMatrix).
 
     The centred samples Z = X - mu are formed one row block at a time in one
-    block-sized buffer, and each block adds its share of W = A^T Z and of
-    the column norms z_t^T z_t, so no N x T temporary is built.  A sparse
-    basis is densified a block at a time into one buffer, so it scores as
-    its dense copy does.
+    block-sized buffer, and each block of ``_row_blocks`` adds its share of
+    W = A^T Z and of the column norms z_t^T z_t, so no N x T temporary is
+    built and a sparse basis scores as its dense copy does.
     """
     model._require_pd("average_log_likelihood")
     values = np.asarray(getattr(samples, "values", samples), dtype=np.float64)
@@ -316,16 +280,11 @@ def average_log_likelihood(model: LowRankPrecision, samples) -> float:
     n, r = a.shape
     if values.ndim != 2 or values.shape[0] != n:
         raise UsageError("samples must be an N x T matrix", n=n, got=values.shape)
-    if _is_sparse(a):
-        a = a.tocsr()
-        a_buf = np.empty((min(n, _ROW_BLOCK), r))
     w = np.zeros((r, values.shape[1]))
     norms = np.zeros(values.shape[1])
     buf = np.empty((min(n, _ROW_BLOCK), values.shape[1]))
-    for lo in range(0, n, _ROW_BLOCK):
-        hi = min(n, lo + _ROW_BLOCK)
+    for lo, hi, a_blk in _row_blocks(a):
         z = np.subtract(values[lo:hi], model.mean[lo:hi, None], out=buf[:hi - lo])
-        a_blk = _csr_block(a, lo, hi, a_buf) if _is_sparse(a) else a[lo:hi]
         w += a_blk.T @ z
         norms += np.einsum("nt,nt->t", z, z)
     quad = np.einsum("rt,r,rt->t", w, model.diag_d, w) + model.c * norms
@@ -370,7 +329,7 @@ def conditional(model: LowRankPrecision, part1, part2, x2):
     if x2.shape != (p2.size,):
         raise UsageError("x2 length must match part2", expected=p2.size, got=x2.shape)
     a = model.basis_a
-    u1 = a[p1].toarray() if _is_sparse(a) else a[p1]
+    u1 = _dense(a[p1])
     r = model.rank
     if r:
         z = np.zeros(model.n_vars)
@@ -381,7 +340,7 @@ def conditional(model: LowRankPrecision, part1, part2, x2):
         mu_1_given_2 = model.mean[p1] - u1 @ s
     else:
         mu_1_given_2 = model.mean[p1].copy()
-    cond = LowRankPrecision(basis_a=np.asarray(u1), diag_d=model.diag_d.copy(),
+    cond = LowRankPrecision(basis_a=u1, diag_d=model.diag_d.copy(),
                             c=model.c, mean=mu_1_given_2,
                             orthonormal=False, pd_certified=True)
     return mu_1_given_2, cond
@@ -395,8 +354,7 @@ def partial_correlation(model: LowRankPrecision, n1: int, n2: int) -> float:
         raise UsageError("variable index out of range", n=n, n1=n1, n2=n2)
     if n1 == n2:
         raise UsageError("partial correlation needs two distinct variables")
-    a1 = _row(model.basis_a, n1)
-    a2 = _row(model.basis_a, n2)
+    a1, a2 = _dense(model.basis_a[[n1, n2]])
     d = model.diag_d
     off = float(np.sum(d * a1 * a2))
     d1 = float(np.sum(d * a1 * a1) + model.c)
@@ -423,28 +381,21 @@ def screen_unimportant(model: LowRankPrecision, epsilon: float):
     if r == 0:
         diag_prec = np.full(n, float(model.c))
         numer = np.zeros(n)
-    elif _is_sparse(a):
-        diag_prec = np.asarray(_squared(a) @ model.diag_d).ravel() + model.c
-        a_abs = abs(a)
-        col_max = np.asarray(a_abs.max(axis=0).todense()).ravel()
-        numer = np.asarray(a_abs @ (np.abs(model.diag_d) * col_max)).ravel()
     else:
-        # A dense basis is read in row blocks through one block-sized buffer,
-        # so no N x r temporary is built.  The first pass needs the column
-        # maxima before the second can weight |A| by them.
+        # two passes over _row_blocks through one block-sized buffer, so no
+        # N x r temporary is built; the first finds the column maxima that
+        # the second weights |A| by
         buf = np.empty((min(n, _ROW_BLOCK), r))
         diag_prec = np.empty(n)
         col_max = np.zeros(r)
-        for lo in range(0, n, _ROW_BLOCK):
-            block = a[lo:lo + _ROW_BLOCK]
-            tmp = np.abs(block, out=buf[:block.shape[0]])
+        for lo, hi, block in _row_blocks(a):
+            tmp = np.abs(block, out=buf[:hi - lo])
             np.maximum(col_max, _column_max(tmp), out=col_max)
-            diag_prec[lo:lo + _ROW_BLOCK] = np.multiply(tmp, tmp, out=tmp) @ model.diag_d + model.c
+            diag_prec[lo:hi] = np.multiply(tmp, tmp, out=tmp) @ model.diag_d + model.c
         weight = np.abs(model.diag_d) * col_max
         numer = np.empty(n)
-        for lo in range(0, n, _ROW_BLOCK):
-            block = a[lo:lo + _ROW_BLOCK]
-            numer[lo:lo + _ROW_BLOCK] = np.abs(block, out=buf[:block.shape[0]]) @ weight
+        for lo, hi, block in _row_blocks(a):
+            numer[lo:hi] = np.abs(block, out=buf[:hi - lo]) @ weight
     if diag_prec.min() <= 0.0:
         raise NumericError("non-positive diagonal precision entry; model not certified")
     q = numer / np.sqrt(diag_prec * diag_prec.min())
@@ -471,10 +422,7 @@ def important_edges(model: LowRankPrecision, epsilon: float, max_edges: int,
     m = candidates.size
     if m < 2 or model.rank == 0:
         return []
-    a = model.basis_a[candidates]
-    if _is_sparse(a):
-        a = a.toarray()
-    a = np.asarray(a)
+    a = _dense(model.basis_a[candidates])
     block = (a * model.diag_d[None, :]) @ a.T
     diag = block.diagonal() + model.c
     denom = np.sqrt(np.outer(diag, diag))
@@ -493,10 +441,7 @@ def materialize_dense(model: LowRankPrecision, guard: int = DENSE_GUARD) -> np.n
     n = model.n_vars
     if n > guard:
         raise UsageError("refusing to materialize a large model", n=n, guard=guard)
-    a = model.basis_a
-    if _is_sparse(a):
-        a = a.toarray()
-    a = np.asarray(a)
+    a = _dense(model.basis_a)
     return (a * model.diag_d[None, :]) @ a.T + model.c * np.eye(n)
 
 

@@ -1,17 +1,24 @@
 """Thresholding of the orthonormal factor with spectral-norm guarantees.
 
-Shrinking the basis entries by lambda / sqrt(N r) moves the precision matrix
-by at most (2 lambda + lambda^2)(beta - alpha) in spectral norm.  Eigenvalues
-never exceed beta, but the lower end of the spectrum is only preserved when
-the low-rank part keeps its top eigenvalue mu <= beta - alpha.  Hard
-thresholding keeps entry magnitudes and can break this (soft thresholding in
-principle too), so mu is computed exactly from the r x r Gram matrix, and
-when mu > beta - alpha the thresholded basis is scaled by
-sqrt((beta - alpha) / mu).  The scaling keeps the sparsity pattern, puts the
-smallest eigenvalue back at alpha, and the returned model is certified with
-bounds [smallest, beta].  For a rescaled basis the proximity bound is not
-proven; it held on every instance measured, and ``SparsifyReport`` checks it
-whenever N is small enough to measure the gap.
+Shrinking the basis entries by lambda / sqrt(N r) keeps every eigenvalue at
+most beta, but keeps the smallest at least alpha only while the low-rank
+part's top eigenvalue mu stays <= w = beta - alpha.  Hard thresholding keeps
+entry magnitudes and can break this (soft thresholding in principle too), so
+mu is computed exactly from the r x r Gram matrix, and when mu > w the
+thresholded basis is scaled by s = sqrt(w / mu).  The scaling keeps the
+sparsity pattern, puts the smallest eigenvalue back at alpha, and the
+returned model is certified with bounds [smallest, beta].
+
+Proximity.  With P = U D U^T and Q = B D B^T for the thresholded basis B
+(s = 1 when not rescaled), the model moves by ||s^2 Q - P||_2.  Every entry
+of B - U is at most lambda / sqrt(N r), so ||B - U||_2 <= lambda, and
+Q - P = (B - U) D B^T + U D (B - U)^T gives ||Q - P||_2 <= kappa w with
+kappa = 2 lambda + lambda^2.  As d lies in (-w, 0], ||P||_2 <= w, so
+mu <= (1 + kappa) w and s^2 >= 1 / (1 + kappa).  Then
+||s^2 Q - P||_2 <= s^2 ||Q - P||_2 + (1 - s^2) ||P||_2 <= w (1 - s^2 (1 - kappa)),
+which is at most kappa w when kappa >= 1 (lambda >= sqrt(2) - 1), as s^2 <= 1.
+A rescaled basis with kappa < 1 has only 2 kappa / (1 + kappa) w proven.
+``SparsifyReport`` checks kappa w whenever N is small enough to measure it.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import scipy.sparse as sp
 
 from .errors import NumericError, UsageError
 from .model import (_ROW_BLOCK, EigenBounds, LowRankPrecision, _low_rank_top_eigval,
-                    materialize_dense)
+                    _row_blocks, materialize_dense)
 
 __all__ = [
     "SparsifyReport",
@@ -65,26 +72,25 @@ class SparsifyReport:
 
 
 def _threshold(u, lam: float, mode: str):
-    """Threshold a dense N x r basis into CSR and return (csr, A^T A).
+    """Threshold an N x r basis into CSR and return (csr, A^T A).
 
-    Two passes over ``model._ROW_BLOCK``-row blocks, each through one
-    block-sized buffer, so no N x r temporary is built.  Pass 1 counts the
-    kept entries of every row into an exact ``indptr``.  Pass 2 forms each
-    thresholded block densely (soft: u - clip(u, -thr, thr), which is
-    sign(u) max(|u| - thr, 0); hard: u where |u| >= thr), adds its
-    block^T block to the Gram matrix while it is in cache, and gathers the
-    kept values and their column indices into the preallocated CSR arrays.
-    The blocks are the ones ``model._gram`` densifies, so for a finite u the
-    Gram matrix is bit for bit the one it would compute from the returned
-    CSR.  A hard threshold of 0 keeps only the nonzeros, since CSR stores
-    no zeros.
+    Two passes over ``model._row_blocks``, each through one block-sized
+    buffer, so no N x r temporary is built and a CSR u thresholds as its
+    dense copy does.  Pass 1 counts the kept entries of every row into an
+    exact ``indptr``.  Pass 2 forms each thresholded block densely (soft:
+    u - clip(u, -thr, thr), which is sign(u) max(|u| - thr, 0); hard: u where
+    |u| >= thr), adds its block^T block to the Gram matrix while it is in
+    cache, and gathers the kept values and their column indices into the
+    preallocated CSR arrays.
+    ``model._gram`` reads the same blocks, so for a finite u the Gram matrix
+    is bit for bit the one it would compute from the returned CSR.  A hard
+    threshold of 0 keeps only the nonzeros, since CSR stores no zeros.
     """
     if not lam >= 0:
         raise UsageError("lambda must be nonnegative", lam=lam)
     if mode not in ("soft", "hard"):
         raise UsageError("mode must be 'soft' or 'hard'", mode=mode)
-    u = np.ascontiguousarray(u, dtype=np.float64)
-    n, r = u.shape
+    n, r = np.shape(u)
     if r == 0:
         return sp.csr_matrix((n, 0)), np.zeros((0, 0))
     thr = lam / np.sqrt(n * r)
@@ -93,16 +99,14 @@ def _threshold(u, lam: float, mode: str):
     mask = np.empty(buf.shape, dtype=bool)
 
     def blocks():
-        """(lo, block, its buffer, its kept-entry mask) for every row block."""
-        for lo in range(0, n, _ROW_BLOCK):
-            block = u[lo:lo + _ROW_BLOCK]
-            m = block.shape[0]
-            keep(np.abs(block, out=buf[:m]), thr, out=mask[:m])
-            yield lo, block, buf[:m], mask[:m]
+        """(lo, hi, block, its buffer, its kept-entry mask) per row block."""
+        for lo, hi, block in _row_blocks(u):
+            keep(np.abs(block, out=buf[:hi - lo]), thr, out=mask[:hi - lo])
+            yield lo, hi, block, buf[:hi - lo], mask[:hi - lo]
 
     counts = np.zeros(n + 1, dtype=np.intp)
-    for lo, block, _, kept in blocks():
-        counts[lo + 1:lo + 1 + block.shape[0]] = kept.sum(axis=1)
+    for lo, hi, _, _, kept in blocks():
+        counts[lo + 1:hi + 1] = kept.sum(axis=1)
     np.cumsum(counts, out=counts)
     nnz = int(counts[-1])
     # the index dtype scipy picks for these arrays
@@ -112,14 +116,14 @@ def _threshold(u, lam: float, mode: str):
     indices = np.empty(nnz, dtype=index)
     columns = np.tile(np.arange(r, dtype=index), buf.shape[0])
     gram = np.zeros((r, r))
-    for lo, block, out, kept in blocks():
+    for lo, hi, block, out, kept in blocks():
         if mode == "soft":
             np.subtract(block, np.clip(block, -thr, thr, out=out), out=out)
         else:
             np.multiply(block, kept, out=out)
         gram += out.T @ out
         flat = np.flatnonzero(kept)
-        span = slice(indptr[lo], indptr[lo + block.shape[0]])
+        span = slice(indptr[lo], indptr[hi])
         # flat holds in-range positions, so "clip" only skips the bounds check
         np.take(out.reshape(-1), flat, out=data[span], mode="clip")
         np.take(columns, flat, out=indices[span], mode="clip")
@@ -163,11 +167,8 @@ def sparsify_model(model: LowRankPrecision, lam: float, mode: str = "soft",
         raise NumericError("diagonal out of the admissible range (-(beta-alpha), 0]",
                            d_min=float(d.min()) if d.size else None,
                            d_max=float(d.max()) if d.size else None)
-    u = model.basis_a
-    if sp.issparse(u):
-        u = u.toarray()
-    sparse_u, gram = _threshold(u, lam, mode)
-    n, r = u.shape
+    sparse_u, gram = _threshold(model.basis_a, lam, mode)
+    n, r = sparse_u.shape
     # exact smallest eigenvalue beta - mu from the r x r Gram matrix of the
     # low-rank part, summed while thresholding; never materializes n x n
     if r:

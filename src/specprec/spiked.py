@@ -11,12 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dataset import DataMatrix, _adopt
 from .errors import NumericError, UsageError
-from .model import (_ROW_BLOCK, EigenBounds, LowRankPrecision, _require_orthonormal,
-                    _spectrum_logdet, _with_checked_basis)
+from .model import (_ROW_BLOCK, EigenBounds, LowRankPrecision, _dense,
+                    _require_orthonormal, _spectrum_logdet, _with_checked_basis)
 
 __all__ = [
     "SpikedModel",
@@ -244,18 +243,19 @@ def gaussian_kl(p_cov: FactoredCovariance, q_model: LowRankPrecision,
     + (mu_P - mu_Q)^T Omega_Q (mu_P - mu_Q)) / 2, all in factored arithmetic.
 
     Cost O(N (K + r)^2): only cross products between the two low-rank bases
-    are formed.
+    are formed.  A sparse basis is read as its dense copy, so it gives the
+    dense copy's value bit for bit.
     """
     n = p_cov.n_vars
     if q_model.n_vars != n:
         raise UsageError("dimension mismatch", p=n, q=q_model.n_vars)
     q_model._require_pd("gaussian_kl")
-    a = q_model.basis_a
+    a = _dense(q_model.basis_a)
     dq = q_model.diag_d
     c = q_model.c
     up, dp, iso = p_cov.basis_u, p_cov.diag_d, p_cov.iso
-    cross = np.asarray(a.T @ up)  # r x K
-    gram_diag = np.asarray((a.multiply(a) if sp.issparse(a) else a * a).sum(axis=0)).ravel()
+    cross = a.T @ up  # r x K
+    gram_diag = (a * a).sum(axis=0)
     tr = float(np.einsum("rk,r,k->", cross * cross, dq, dp)
                + iso * (dq * gram_diag).sum()
                + c * dp.sum() + c * iso * n)
@@ -265,7 +265,7 @@ def gaussian_kl(p_cov: FactoredCovariance, q_model: LowRankPrecision,
     p_mu = np.zeros(n) if p_mean is None else np.asarray(p_mean, dtype=np.float64)
     diff = p_mu - q_model.mean
     if np.any(diff):
-        w = np.asarray(a.T @ diff).ravel()
+        w = a.T @ diff
         mean_term = float(w @ (dq * w) + c * (diff @ diff))
     kl = 0.5 * (tr - n - logdet_p - logdet_q + mean_term)
     if not np.isfinite(kl):

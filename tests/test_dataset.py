@@ -95,6 +95,39 @@ def test_constructor_copies_and_center_does_not(rng):
     assert peak <= 1.25 * big.values.nbytes
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "inf-inf"])
+def test_finite_check_locates_the_bad_entry(rng, bad):
+    x = rng.standard_normal((6, 5))
+    if bad == "inf-inf":
+        x[4, 1], x[4, 3] = np.inf, -np.inf  # a row that sums to NaN
+    else:
+        x[4, 1] = bad
+    for make in (lambda: DataMatrix(values=x), lambda: center(DataMatrix(values=x))):
+        with np.errstate(invalid="ignore"), pytest.raises(DataError) as exc:
+            make()
+        assert exc.value.context == {"row": 4, "col": 1}
+    # finite values whose row sum overflows are still accepted
+    with np.errstate(over="ignore"):
+        assert DataMatrix(values=[[1e308, 1e308]]).values[0, 1] == 1e308
+
+
+def test_constructor_and_center_peaks_are_one_copy(rng):
+    import tracemalloc
+
+    x = rng.standard_normal((1 << 16, 64))
+    tracemalloc.start()
+    try:
+        d = DataMatrix(values=x)
+        held, made = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        c = center(d)
+        centred = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert made <= 1.05 * x.nbytes and centred <= 1.05 * x.nbytes
+    assert np.array_equal(c.values, x - x.mean(axis=1)[:, None])
+
+
 def test_standardize_examples():
     d = standardize(center(DataMatrix(values=[[1.0, 3.0], [0.0, 4.0]])))
     np.testing.assert_allclose(d.values, [[-1.0, 1.0], [-1.0, 1.0]])

@@ -8,9 +8,8 @@ from specprec import (DataError, DataMatrix, EigenBounds, LowRankPrecision,
                       NumericError, UsageError, average_log_likelihood,
                       conditional, important_edges, load_model,
                       load_model_with_rho, log_likelihood, materialize_dense,
-                      orthonormalize, partial_correlation, save_model,
-                      save_model_with_rho, screen_unimportant,
-                      soft_threshold_basis)
+                      partial_correlation, save_model, save_model_with_rho,
+                      screen_unimportant)
 from specprec.oracle import dense_conditional, dense_loglik
 
 from specprec.model import _ROW_BLOCK
@@ -203,25 +202,50 @@ def _non_canonical_csr(rng, n, r, nnz):
 
 
 def test_csr_blocks_equal_sliced_toarray_across_a_short_last_block(rng):
-    from specprec.model import _csr_block, _gram
+    from specprec.model import _row_blocks
 
     n, r = 2 * _ROW_BLOCK + 37, 6
+    spans = [(0, _ROW_BLOCK), (_ROW_BLOCK, 2 * _ROW_BLOCK), (2 * _ROW_BLOCK, n)]
     for a in (sp.random(n, r, density=0.3, format="csr", random_state=8),
               _non_canonical_csr(rng, n, r, 20000)):
-        buf = np.empty((_ROW_BLOCK, r))
-        want_gram = np.zeros((r, r))
-        for lo in range(0, n, _ROW_BLOCK):
-            want = a[lo:lo + _ROW_BLOCK].toarray()
-            got = _csr_block(a, lo, min(n, lo + _ROW_BLOCK), buf)
+        got_spans = []
+        for lo, hi, got in _row_blocks(a):
+            want = a[lo:hi].toarray()
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
-            want_gram += want.T @ want
-        assert np.array_equal(_gram(a).view(np.int64), want_gram.view(np.int64))
-        m_csr = LowRankPrecision(basis_a=a, diag_d=np.full(r, 1e-3), c=1.0,
-                                 mean=rng.standard_normal(n), pd_certified=True)
-        m_dense = LowRankPrecision(basis_a=a.toarray(), diag_d=m_csr.diag_d, c=1.0,
-                                   mean=m_csr.mean, pd_certified=True)
-        xs = rng.standard_normal((n, 5))
-        assert average_log_likelihood(m_csr, xs) == average_log_likelihood(m_dense, xs)
+            got_spans.append((lo, hi))
+        assert got_spans == spans
+    dense = rng.standard_normal((n, r))
+    for lo, hi, block in _row_blocks(dense):
+        assert block.base is dense and np.array_equal(block, dense[lo:hi])
+
+
+def test_csr_basis_gives_its_dense_copys_results_bit_for_bit(rng):
+    from specprec import FactoredCovariance, gaussian_kl
+    from specprec.model import _gram
+
+    def same(x, y):
+        x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+        return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    n, r, k = 2 * _ROW_BLOCK + 37, 6, 3
+    up, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    p_cov = FactoredCovariance(basis_u=up, diag_d=rng.uniform(0.5, 1.5, k), iso=1.0 / n)
+    p_mean = rng.standard_normal(n)
+    xs = rng.standard_normal((n, 5))
+    for a in (sp.random(n, r, density=0.3, format="csr", random_state=8),
+              _non_canonical_csr(rng, n, r, 20000)):
+        d, mean = rng.uniform(1e-3, 1e-2, r), rng.standard_normal(n)
+        m_csr, m_dense = (LowRankPrecision(basis_a=b, diag_d=d, c=1.0, mean=mean,
+                                           pd_certified=True) for b in (a, a.toarray()))
+        assert same(_gram(a), _gram(a.toarray()))
+        (s_csr, q_csr), (s_dense, q_dense) = (screen_unimportant(m, 0.01)
+                                              for m in (m_csr, m_dense))
+        assert same(q_csr, q_dense) and np.array_equal(s_csr, s_dense)
+        assert same(average_log_likelihood(m_csr, xs), average_log_likelihood(m_dense, xs))
+        eps = float(np.sort(q_dense)[-150])
+        edges = [important_edges(m, eps, 500) for m in (m_csr, m_dense)]
+        assert edges[0] == edges[1] and len(edges[0]) > 0
+        assert same(gaussian_kl(p_cov, m_csr, p_mean), gaussian_kl(p_cov, m_dense, p_mean))
 
 
 def test_average_loglik_rejects_mismatched_samples(rng):
@@ -364,38 +388,6 @@ def test_materialize_guard(rng):
     m = iso_model(10)
     with pytest.raises(UsageError):
         materialize_dense(m, guard=5)
-
-
-def test_orthonormalize_identity_on_orthonormal(rng):
-    m = random_orthonormal_model(rng, 9, 3)
-    m2 = orthonormalize(m)
-    assert m2.orthonormal
-    np.testing.assert_allclose(materialize_dense(m2), materialize_dense(m),
-                               atol=1e-10)
-
-
-def test_orthonormalize_rank_zero():
-    m = iso_model(4, c=2.0)
-    m2 = orthonormalize(m)
-    assert m2.rank == 0 and m2.c == 2.0
-
-
-def test_orthonormalize_sparse_thresholded(rng):
-    m = random_orthonormal_model(rng, 40, 5)
-    sparse_u = soft_threshold_basis(np.asarray(m.basis_a), 1.0)
-    raw = LowRankPrecision(basis_a=sparse_u, diag_d=m.diag_d, c=m.c,
-                           mean=m.mean, pd_certified=True)
-    fixed = orthonormalize(raw)
-    assert fixed.orthonormal
-    np.testing.assert_allclose(materialize_dense(fixed),
-                               materialize_dense(raw), atol=1e-9)
-
-
-def test_orthonormalize_rejects_positive_diag(rng):
-    m = LowRankPrecision(basis_a=np.eye(3)[:, :1], diag_d=np.array([0.5]),
-                         c=1.0, mean=np.zeros(3))
-    with pytest.raises(NumericError):
-        orthonormalize(m)
 
 
 def test_save_load_roundtrip(tmp_path, rng):

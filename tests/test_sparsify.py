@@ -65,6 +65,42 @@ def _riccati_model(rng, n=20, t=6, rho=0.5):
     return riccati_fit(thin_svd(centered_data(rng, n, t)), rho)
 
 
+@pytest.mark.parametrize("mode", ["soft", "hard"])
+def test_rescaled_proximity_proof_step_by_step(mode):
+    # each step of the proximity argument in the sparsify module docstring
+    # on random fits, with w = beta - alpha, P = U D U^T, Q = B D B^T for the
+    # thresholded basis B and s^2 = min(1, w / mu); soft thresholding never
+    # needed rescaling on such fits, so only hard mode counts rescaled ones
+    rng = np.random.default_rng(606 if mode == "soft" else 607)
+    tol = 1e-9
+    rescaled = {True: 0, False: 0}  # by kappa >= 1
+    for _ in range(300):
+        n, t = int(rng.integers(4, 61)), int(rng.integers(2, 12))
+        rho = float(np.exp(rng.uniform(np.log(0.02), np.log(5.0))))
+        lam = float(np.exp(rng.uniform(np.log(0.02), np.log(3.0))))
+        m = _riccati_model(rng, n, t, rho)
+        u, d = m.basis_a, m.diag_d
+        w, kappa = m.bounds.beta - m.bounds.alpha, 2 * lam + lam * lam
+        b = _threshold(u, lam, mode)[0].toarray()
+        p, q = (u * d) @ u.T, (b * d) @ b.T
+        mu = np.linalg.norm(q, 2)
+        sm, report = sparsify_model(m, lam, mode)
+        s2 = min(1.0, w / mu)
+        gap = np.linalg.norm(s2 * q - p, 2)
+        assert np.abs(b - u).max() <= lam / np.sqrt(u.size) * (1 + tol)
+        assert np.linalg.norm(b - u) <= lam * (1 + tol)
+        assert np.linalg.norm(q - p, 2) <= kappa * w * (1 + tol)
+        assert np.linalg.norm(p, 2) <= w * (1 + tol)
+        assert s2 >= (1 - tol) / (1 + kappa)
+        assert gap <= w * (1 - s2 * (1 - kappa) + tol)
+        proven = kappa if kappa >= 1 or s2 == 1.0 else 2 * kappa / (1 + kappa)
+        assert gap <= w * (proven + tol)
+        np.testing.assert_allclose(sm.basis_a.toarray(), np.sqrt(s2) * b, rtol=1e-9)
+        assert report.measured_spectral_gap == pytest.approx(gap, rel=1e-9, abs=1e-12 * w)
+        rescaled[kappa >= 1] += s2 < 1.0
+    assert mode == "soft" or min(rescaled.values()) >= 20, rescaled
+
+
 def test_sparsify_lambda_zero_identity(rng):
     m = _riccati_model(rng)
     sm, report = sparsify_model(m, 0.0)
