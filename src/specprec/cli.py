@@ -37,7 +37,8 @@ def parse_rho_grid(spec: str) -> np.ndarray:
     except ValueError:
         raise UsageError("rho grid bounds/count do not parse", got=spec) from None
     scale = parts[2]
-    if lo <= 0 or hi < lo or count < 1:
+    spectral._require_rho((lo, hi))
+    if hi < lo or count < 1:
         raise UsageError("rho grid needs 0 < lo <= hi and count >= 1", got=spec)
     if scale == "log":
         return np.logspace(np.log10(lo), np.log10(hi), count)

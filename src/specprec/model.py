@@ -4,16 +4,17 @@ Every estimator in the package produces this representation, and every
 model-usage operation (likelihood, conditionals, partial correlations,
 screening) runs on it in O(N r) or O(N r^2) without materializing an
 N x N matrix.  The basis may be a dense ndarray or a scipy sparse matrix.
+SciPy is imported only where a sparse basis is built or read.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DataError, NumericError, UsageError
 
@@ -51,7 +52,10 @@ class EigenBounds:
 
 
 def _is_sparse(a) -> bool:
-    return sp.issparse(a)
+    """Whether A is a scipy sparse matrix, without importing scipy: no such
+    object can exist before ``scipy.sparse`` has been imported."""
+    sp = sys.modules.get("scipy.sparse")
+    return sp is not None and sp.issparse(a)
 
 
 _ROW_BLOCK = 4096
@@ -409,7 +413,8 @@ def important_edges(model: LowRankPrecision, epsilon: float, max_edges: int,
 
     Returns (n1, n2, value) tuples with n1 < n2, sorted by descending
     magnitude and truncated to ``max_edges``.  ``candidates`` defaults to the
-    complement of the screened set at the same epsilon.
+    complement of the screened set at the same epsilon; given candidates
+    must be integer indices in [0, N), and are sorted and de-duplicated.
     """
     model._require_pd("important_edges")
     if candidates is None:
@@ -418,7 +423,13 @@ def important_edges(model: LowRankPrecision, epsilon: float, max_edges: int,
         mask[screened] = False
         candidates = np.flatnonzero(mask)
     else:
-        candidates = np.asarray(candidates, dtype=np.intp)
+        candidates = np.asarray(candidates).ravel()
+        if candidates.size and not np.issubdtype(candidates.dtype, np.integer):
+            raise UsageError("edge candidates must be integer indices",
+                             dtype=str(candidates.dtype))
+        if candidates.size and (candidates.min() < 0 or candidates.max() >= model.n_vars):
+            raise UsageError("edge candidate out of range", n=model.n_vars)
+        candidates = np.unique(candidates).astype(np.intp)
     m = candidates.size
     if m < 2 or model.rank == 0:
         return []
@@ -498,6 +509,7 @@ def _load_basis(doc, n, r):
         if rows.size and (rows.min() < 0 or rows.max() >= n
                           or cols.min() < 0 or cols.max() >= r):
             raise DataError("sparse basis index out of range")
+        import scipy.sparse as sp
         return sp.coo_matrix((vals, (rows, cols)), shape=(n, r)).tocsr()
     arr = np.asarray(basis, dtype=np.float64)
     if arr.size == 0:

@@ -27,11 +27,10 @@ import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NumericError, UsageError
 from .model import (_ROW_BLOCK, EigenBounds, LowRankPrecision, _low_rank_top_eigval,
-                    _row_blocks, materialize_dense)
+                    _is_sparse, _row_blocks, materialize_dense)
 
 __all__ = [
     "SparsifyReport",
@@ -90,6 +89,8 @@ def _threshold(u, lam: float, mode: str):
         raise UsageError("lambda must be nonnegative", lam=lam)
     if mode not in ("soft", "hard"):
         raise UsageError("mode must be 'soft' or 'hard'", mode=mode)
+    import scipy.sparse as sp
+
     n, r = np.shape(u)
     if r == 0:
         return sp.csr_matrix((n, 0)), np.zeros((0, 0))
@@ -130,13 +131,15 @@ def _threshold(u, lam: float, mode: str):
     return sp.csr_matrix((data, indices, indptr), shape=(n, r)), gram
 
 
-def soft_threshold_basis(u, lam: float) -> sp.csr_matrix:
-    """Entrywise shrinkage sign(u) max(0, |u| - lambda / sqrt(N r))."""
+def soft_threshold_basis(u, lam: float):
+    """Entrywise shrinkage sign(u) max(0, |u| - lambda / sqrt(N r)), as a
+    scipy CSR matrix."""
     return _threshold(u, lam, "soft")[0]
 
 
-def hard_threshold_basis(u, lam: float) -> sp.csr_matrix:
-    """Keep entries with |u| >= lambda / sqrt(N r) (inclusive), zero the rest."""
+def hard_threshold_basis(u, lam: float):
+    """Keep entries with |u| >= lambda / sqrt(N r) (inclusive), zero the rest;
+    a scipy CSR matrix."""
     return _threshold(u, lam, "hard")[0]
 
 
@@ -230,7 +233,7 @@ def measure_density(mat):
     For a square matrix the first entry counts nonzero off-diagonal cells;
     for a rectangular factor it is None.  Only exact zeros count as zero.
     """
-    sparse = sp.issparse(mat)
+    sparse = _is_sparse(mat)
     if not sparse:
         mat = np.asarray(mat)
     n, m = mat.shape

@@ -137,27 +137,32 @@ def thin_svd(data: DataMatrix) -> SpectralBasis:
         raise UsageError("thin_svd requires centered data (mean present)")
     x = data.values
     n, t = x.shape
-    if not np.any(x):
-        return SpectralBasis(basis_u=np.zeros((n, 0)), data_singvals=np.zeros(0),
-                             cov_eigvals=np.zeros(0), n_vars=n, n_samples=t,
-                             mean=data.mean)
-    gram = None
+    eps = np.finfo(float).eps
+    u = gram = None
     if n >= max(_GRAM_RATIO * t, _GRAM_MIN_N):
         # Tall case: eigendecompose the T x T Gram matrix, then recover U and
-        # re-orthonormalize it.  Never touches an N x N object.
-        g = x.T @ x
-        w, v = np.linalg.eigh(g)
-        w = w[::-1]
-        v = v[:, ::-1]
-        # the Gram eigenvalues carry rounding error of about eps * w[0], so
-        # the rank tolerance applies to them, not to their square roots
-        keep = w > max(n, t) * np.finfo(float).eps * w[0]
-        s = np.sqrt(w[keep])
-        u, gram = _recover_basis(x, v[:, keep] / s[None, :])
-    else:
+        # re-orthonormalize it.  Never touches an N x N object.  A Gram matrix
+        # that overflows, or whose rank tolerance is below the smallest normal
+        # float (X zero or underflowing), cannot resolve the rank: zero X has
+        # rank 0, and any other X goes to the SVD below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = x.T @ x
+        if np.isfinite(g).all():
+            w, v = np.linalg.eigh(g)
+            w = w[::-1]
+            v = v[:, ::-1]
+            # the Gram eigenvalues carry rounding error of about eps * w[0], so
+            # the rank tolerance applies to them, not to their square roots
+            tol = max(n, t) * eps * w[0]
+            if tol >= np.finfo(float).tiny:
+                keep = w > tol
+                s = np.sqrt(w[keep])
+                u, gram = _recover_basis(x, v[:, keep] / s[None, :])
+            elif not np.any(x):
+                u, s = np.zeros((n, 0)), np.zeros(0)
+    if u is None:
         u, s, _ = np.linalg.svd(x, full_matrices=False)
-        tol = max(n, t) * np.finfo(float).eps * s[0]
-        keep = s > tol
+        keep = s > max(n, t) * eps * s[0]
         u = u[:, keep]
         s = s[keep]
     return _with_gram(gram, basis_u=u, data_singvals=s, cov_eigvals=s * s / t,
@@ -183,10 +188,18 @@ def _tikhonov_diag(cov_eigvals: np.ndarray, rho: float):
 _DIAG_MAPS = {"riccati": _riccati_diag, "tikhonov": _tikhonov_diag}
 
 
+def _require_rho(rho) -> None:
+    """Refuse a rho, or a grid of them, unless every entry has 0 < rho < inf;
+    a test NaN fails."""
+    r = np.asarray(rho, dtype=np.float64).ravel()
+    ok = (0.0 < r) & (r < np.inf)
+    if not ok.all():
+        raise UsageError("rho must be positive and finite", rho=float(r[~ok][0]))
+
+
 def eigen_bounds(spec_norm_cov: float, rho: float, method: str = "riccati") -> EigenBounds:
     """Bracket [alpha, beta] for all eigenvalues of the fitted model."""
-    if rho <= 0:
-        raise UsageError("rho must be positive", rho=rho)
+    _require_rho(rho)
     if spec_norm_cov < 0:
         raise UsageError("spectral norm must be nonnegative", value=spec_norm_cov)
     s = float(spec_norm_cov)
@@ -202,11 +215,9 @@ def eigen_bounds(spec_norm_cov: float, rho: float, method: str = "riccati") -> E
 
 
 def _fit(basis: SpectralBasis, rho: float, method: str) -> LowRankPrecision:
-    if rho <= 0:
-        raise UsageError("rho must be positive", rho=rho)
+    bounds = eigen_bounds(basis.spec_norm_cov, rho, method)  # refuses a bad rho first
     diag, c = _DIAG_MAPS[method](basis.cov_eigvals, rho)
-    return _with_checked_basis(basis.basis_u, diag, c, basis.mean,
-                               eigen_bounds(basis.spec_norm_cov, rho, method))
+    return _with_checked_basis(basis.basis_u, diag, c, basis.mean, bounds)
 
 
 def riccati_fit(basis: SpectralBasis, rho: float) -> LowRankPrecision:
@@ -246,8 +257,7 @@ def solution_path(basis: SpectralBasis, rhos, method: str = "riccati") -> Regula
     rhos = np.asarray(rhos, dtype=np.float64).ravel()
     if rhos.size == 0:
         raise UsageError("rho grid is empty")
-    if np.any(rhos <= 0):
-        raise UsageError("all rhos must be positive")
+    _require_rho(rhos)
     # one broadcast call; each row equals the map's scalar call bit for bit
     diags, cs = _DIAG_MAPS[method](basis.cov_eigvals, rhos[:, None])
     return RegularizationPath(basis=basis, rhos=rhos, diags=diags, cs=cs.ravel(),

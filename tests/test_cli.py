@@ -39,11 +39,22 @@ def test_parse_rho_grid_lin_and_singleton():
 
 @pytest.mark.parametrize("bad", [
     "1:2:3", "a:2:log:3", "0:2:log:3", "2:1:log:3", "1:2:log:0",
-    "1:2:geom:3", "1:2:log:x",
+    "1:2:geom:3", "1:2:log:x", "nan:1:log:5", "0.1:inf:log:5", "0.1:nan:lin:5",
+    "inf:inf:log:1",
 ])
 def test_parse_rho_grid_rejects(bad):
     with pytest.raises(UsageError):
         parse_rho_grid(bad)
+
+
+@pytest.mark.parametrize("argv", [["--rho", "nan"], ["--rho", "inf"],
+                                  ["--val", SMALL_VAL, "--rho-grid", "0.1:inf:log:5"],
+                                  ["--val", SMALL_VAL, "--rho-grid", "nan:1:log:5"]])
+def test_fit_non_finite_rho_is_usage_error(tmp_path, capsys, argv):
+    rc = main(["fit", "--input", SMALL, "--output", str(tmp_path / "m.json")] + argv)
+    assert rc == EXIT_USAGE
+    assert json.loads(capsys.readouterr().err)["code"] == EXIT_USAGE
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_default_grid_parses():

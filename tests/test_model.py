@@ -361,6 +361,22 @@ def test_important_edges_rank_one():
     assert abs(v - (-1.0 / 7.0)) < 1e-12
 
 
+def test_important_edges_validates_candidates(rng):
+    m = random_orthonormal_model(rng, 50, 4)
+    sorted_edges = important_edges(m, 1e-6, 1000, candidates=[2, 5, 9])
+    assert len(sorted_edges) == 3 and all(
+        n1 < n2 and abs(v - partial_correlation(m, n1, n2)) <= 1e-12
+        for n1, n2, v in sorted_edges)
+    assert important_edges(m, 1e-6, 1000, candidates=[5, 2, 9]) == sorted_edges
+    assert important_edges(m, 1e-6, 1000, candidates=np.array([9, 2, 5, 2])) == sorted_edges
+    pair = important_edges(m, 1e-6, 1000, candidates=[4, 7])
+    assert len(pair) == 1 and important_edges(m, 1e-6, 1000, candidates=[4, 4, 7]) == pair
+    assert important_edges(m, 1e-6, 1000, candidates=[]) == []
+    for bad in ([70], [3, 50], [-1, 3], [1.5, 2.0], [1.0, 2.0], [True, False]):
+        with pytest.raises(UsageError):
+            important_edges(m, 1e-6, 1000, candidates=bad)
+
+
 def test_important_edges_empty_for_isotropic():
     assert important_edges(iso_model(5), 0.1, 10) == []
 

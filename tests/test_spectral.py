@@ -7,7 +7,7 @@ from specprec import (DataMatrix, NumericError, SpectralBasis, UsageError,
                       average_log_likelihood, center, eigen_bounds,
                       isotropic_fit, materialize_dense, random_spiked,
                       riccati_fit, select_rho_by_validation, solution_path,
-                      thin_svd, tikhonov_fit, true_precision)
+                      spectral, thin_svd, tikhonov_fit, true_precision)
 from specprec.oracle import dense_riccati, dense_tikhonov, kkt_residual
 
 from conftest import centered_data, sample_cov
@@ -83,6 +83,21 @@ def test_thin_svd_gram_path_matches_svd_over_row_blocks(rng, n):
     x = d.values
     resid = np.linalg.norm(x - b.basis_u @ (b.basis_u.T @ x))
     assert resid <= 1e-10 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-170, 1e160])
+def test_thin_svd_gram_path_zero_underflow_and_overflow(rng, monkeypatch, scale):
+    # at N = 4096 the Gram matrix of this data is zero or infinite; the result
+    # must be the SVD path's, whose rank is 0 for zero data and T - 1 else
+    x = rng.standard_normal((4096, 4))
+    x -= x.mean(axis=1, keepdims=True)
+    d = DataMatrix(values=x * scale, mean=np.zeros(4096))
+    b = thin_svd(d)
+    monkeypatch.setattr(spectral, "_GRAM_MIN_N", 10**9)
+    expected = thin_svd(d)
+    assert b.rank == expected.rank == (0 if scale == 0.0 else 3)
+    np.testing.assert_allclose(b.basis_u.T @ b.basis_u, np.eye(b.rank), atol=1e-10)
+    np.testing.assert_array_equal(b.data_singvals, expected.data_singvals)
 
 
 def test_thin_svd_gram_path_falls_back_to_householder(rng, monkeypatch):
@@ -244,11 +259,14 @@ def test_riccati_dense_oracle_and_kkt(rng):
 
 def test_rho_must_be_positive(rng):
     b = thin_svd(centered_data(rng, 4, 3))
-    for bad in (0.0, -1.0):
-        with pytest.raises(UsageError):
-            riccati_fit(b, bad)
-        with pytest.raises(UsageError):
-            tikhonov_fit(b, bad)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        for call in (lambda: riccati_fit(b, bad), lambda: tikhonov_fit(b, bad),
+                     lambda: eigen_bounds(1.0, bad, "riccati"),
+                     lambda: eigen_bounds(1.0, bad, "tikhonov"),
+                     lambda: solution_path(b, [0.1, bad, 1.0]),
+                     lambda: solution_path(b, [bad], "tikhonov")):
+            with pytest.raises(UsageError):
+                call()
 
 
 def test_eigen_bounds_examples():
