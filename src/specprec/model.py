@@ -259,40 +259,46 @@ def _with_checked_basis(basis_a: np.ndarray, diag_d, c: float, mean,
     return model
 
 
+def _mean_quadratic_form(a, values: np.ndarray, mean, diag_d, c):
+    """mean_t z_t^T (A diag(d) A^T + c I) z_t over the columns z_t of
+    Z = X - mean (Z = X when ``mean`` is None): the one scorer behind every
+    likelihood, validation score and KL mean term.
+
+    One walk over ``_row_blocks(a)`` with the aligned rows of X sums
+    w2_r = mean_t (a_r^T z_t)^2 and zz = mean_t ||z_t||^2, subtracting a mean
+    into one block-sized buffer, so no N x T temporary is built and a sparse
+    basis gives what its dense copy gives, bit for bit.  The form is then
+    sum_r d_r w2_r + c zz.  An (M, r) ``diag_d`` with an (M,) ``c`` scores a
+    whole path; each row is summed over the last axis as a 1-D ``diag_d`` is,
+    so a path entry equals its model's value bit for bit.
+    """
+    n, r = a.shape
+    t = values.shape[1]
+    w, norms = np.zeros((r, t)), np.zeros(t)
+    buf = None if mean is None else np.empty((min(n, _ROW_BLOCK), t))
+    for lo, hi, a_blk in _row_blocks(a):
+        z = (values[lo:hi] if mean is None
+             else np.subtract(values[lo:hi], mean[lo:hi, None], out=buf[:hi - lo]))
+        w += a_blk.T @ z
+        norms += np.einsum("nt,nt->t", z, z)
+    return (diag_d * (w * w).mean(axis=1)).sum(axis=-1) + c * norms.mean()
+
+
 def log_likelihood(model: LowRankPrecision, x: np.ndarray) -> float:
     """log det Omega - (x - mu)^T Omega (x - mu), evaluated in O(N r)."""
-    model._require_pd("log_likelihood")
-    z = np.asarray(x, dtype=np.float64).ravel() - model.mean
-    if z.shape != (model.n_vars,):
-        raise UsageError("sample length must match N", n=model.n_vars, got=z.shape)
-    w = model.basis_a.T @ z
-    quad = float(w @ (model.diag_d * w) + model.c * (z @ z))
-    return model.logdet - quad
+    return average_log_likelihood(model, np.ravel(x)[:, None])
 
 
 def average_log_likelihood(model: LowRankPrecision, samples) -> float:
-    """Mean log-likelihood over sample columns (an N x T array or DataMatrix).
-
-    The centred samples Z = X - mu are formed one row block at a time in one
-    block-sized buffer, and each block of ``_row_blocks`` adds its share of
-    W = A^T Z and of the column norms z_t^T z_t, so no N x T temporary is
-    built and a sparse basis scores as its dense copy does.
-    """
+    """Mean log-likelihood over sample columns (an N x T array or DataMatrix),
+    log det Omega - mean_t (x_t - mu)^T Omega (x_t - mu), in O(N r T)."""
     model._require_pd("average_log_likelihood")
     values = np.asarray(getattr(samples, "values", samples), dtype=np.float64)
-    a = model.basis_a
-    n, r = a.shape
-    if values.ndim != 2 or values.shape[0] != n:
-        raise UsageError("samples must be an N x T matrix", n=n, got=values.shape)
-    w = np.zeros((r, values.shape[1]))
-    norms = np.zeros(values.shape[1])
-    buf = np.empty((min(n, _ROW_BLOCK), values.shape[1]))
-    for lo, hi, a_blk in _row_blocks(a):
-        z = np.subtract(values[lo:hi], model.mean[lo:hi, None], out=buf[:hi - lo])
-        w += a_blk.T @ z
-        norms += np.einsum("nt,nt->t", z, z)
-    quad = np.einsum("rt,r,rt->t", w, model.diag_d, w) + model.c * norms
-    return float(model.logdet - quad.mean())
+    if values.ndim != 2 or values.shape[0] != model.n_vars:
+        raise UsageError("samples must be an N x T matrix", n=model.n_vars,
+                         got=values.shape)
+    return float(model.logdet - _mean_quadratic_form(model.basis_a, values, model.mean,
+                                                     model.diag_d, model.c))
 
 
 def _check_partition(n: int, part1, part2):

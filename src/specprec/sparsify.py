@@ -143,8 +143,7 @@ def hard_threshold_basis(u, lam: float):
     return _threshold(u, lam, "hard")[0]
 
 
-def sparsify_model(model: LowRankPrecision, lam: float, mode: str = "soft",
-                   dense_guard: int = REPORT_DENSE_GUARD):
+def sparsify_model(model: LowRankPrecision, lam: float, mode: str = "soft"):
     """Threshold an orthonormal model's basis; eigenvalues stay in [alpha, beta].
 
     Requires the model in the form U diag(d) U^T + beta I with bounds present
@@ -194,7 +193,7 @@ def sparsify_model(model: LowRankPrecision, lam: float, mode: str = "soft",
     basis_density = sparse_u.nnz / (n * r) if r else 0.0
     bound = (2.0 * lam + lam * lam) * (beta - alpha)
     offdiag = gap = None
-    if n <= dense_guard:
+    if n <= REPORT_DENSE_GUARD:
         dense_new = materialize_dense(sparse_model)
         dense_old = materialize_dense(model)
         offdiag, _ = measure_density(dense_new)

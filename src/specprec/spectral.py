@@ -15,8 +15,8 @@ import numpy as np
 
 from .dataset import DataMatrix
 from .errors import NumericError, UsageError
-from .model import (_ROW_BLOCK, EigenBounds, LowRankPrecision, _require_orthonormal,
-                    _spectrum_logdet, _with_checked_basis)
+from .model import (_ROW_BLOCK, EigenBounds, LowRankPrecision, _mean_quadratic_form,
+                    _require_orthonormal, _spectrum_logdet, _with_checked_basis)
 
 __all__ = [
     "SpectralBasis",
@@ -200,9 +200,12 @@ def _require_rho(rho) -> None:
 def eigen_bounds(spec_norm_cov: float, rho: float, method: str = "riccati") -> EigenBounds:
     """Bracket [alpha, beta] for all eigenvalues of the fitted model."""
     _require_rho(rho)
-    if spec_norm_cov < 0:
-        raise UsageError("spectral norm must be nonnegative", value=spec_norm_cov)
     s = float(spec_norm_cov)
+    if s < 0:
+        raise UsageError("spectral norm must be nonnegative", value=s)
+    if not s < np.inf:  # written so that NaN fails it
+        raise NumericError("covariance eigenvalues overflowed float64; rescale the data",
+                           spec_norm_cov=s)
     if method == "riccati":
         alpha = 2.0 / (s + np.sqrt(s * s + 4.0 * rho))
         beta = 1.0 / np.sqrt(rho)
@@ -270,23 +273,20 @@ def select_rho_by_validation(path: RegularizationPath, val_data: DataMatrix):
     ``val_data`` must already be centered with the training mean.  Ties break
     toward larger rho (stronger regularization).
 
-    The path is scored in factored form, without building a model per rho.
-    The validation columns z_t are projected once, W = U^T Z, which with
-    ||z_t||^2 costs O(N r T_val).  Every grid point then costs O(r): its
-    log-determinant has the closed form of an orthonormal model (which also
-    refuses an entry that is not positive definite), and
-        mean_t quad_t = sum_r d_r mean_t W_rt^2 + c mean_t ||z_t||^2.
+    The path is scored in factored form, without building a model per rho,
+    by the scorer of ``average_log_likelihood``: one O(N r T_val) pass over
+    the validation columns, then O(r) per grid point, whose log-determinant
+    has the closed form of an orthonormal model (which also refuses an entry
+    that is not positive definite).  Each score equals the held-out
+    likelihood of the model at that rho bit for bit.
     """
     basis = path.basis
     if val_data.n_vars != basis.n_vars:
         raise UsageError("validation data dimension mismatch",
                          expected=basis.n_vars, got=val_data.n_vars)
-    z = val_data.values
-    w = basis.basis_u.T @ z
-    w2_mean = (w * w).mean(axis=1)
-    zz_mean = np.einsum("nt,nt->", z, z) / z.shape[1]
-    logdets = _spectrum_logdet(basis.n_vars, path.diags, path.cs)
-    scores = logdets - (path.diags @ w2_mean + path.cs * zz_mean)
+    scores = (_spectrum_logdet(basis.n_vars, path.diags, path.cs)
+              - _mean_quadratic_form(basis.basis_u, val_data.values, None,
+                                     path.diags, path.cs))
     best = 0
     for i in range(1, len(path)):
         if scores[i] > scores[best] or (

@@ -14,8 +14,9 @@ import numpy as np
 
 from .dataset import DataMatrix, _adopt
 from .errors import NumericError, UsageError
-from .model import (_ROW_BLOCK, EigenBounds, LowRankPrecision, _dense,
-                    _require_orthonormal, _spectrum_logdet, _with_checked_basis)
+from .model import (_ROW_BLOCK, DENSE_GUARD, EigenBounds, LowRankPrecision, _dense,
+                    _mean_quadratic_form, _require_orthonormal, _spectrum_logdet,
+                    _with_checked_basis)
 
 __all__ = [
     "SpikedModel",
@@ -59,10 +60,6 @@ class SpikedModel:
     @property
     def n_vars(self) -> int:
         return self.basis_u.shape[0]
-
-    @property
-    def n_components(self) -> int:
-        return self.basis_u.shape[1]
 
 
 def random_spiked(n: int, k: int, beta: float, density: float, seed: int) -> SpikedModel:
@@ -152,24 +149,16 @@ class FactoredCovariance:
     def n_vars(self) -> int:
         return self.basis_u.shape[0]
 
-    @property
-    def rank(self) -> int:
-        return self.basis_u.shape[1]
-
     def trace(self) -> float:
         return float(self.diag_d.sum() + self.iso * self.n_vars)
-
-    def spec_norm(self) -> float:
-        top = float(self.diag_d.max()) if self.rank else 0.0
-        return top + self.iso
 
     def logdet(self) -> float:
         return float(_spectrum_logdet(self.n_vars, self.diag_d, self.iso))
 
-    def materialize(self, guard: int = 2000) -> np.ndarray:
-        if self.n_vars > guard:
+    def materialize(self) -> np.ndarray:
+        if self.n_vars > DENSE_GUARD:
             raise UsageError("refusing to materialize a large covariance",
-                             n=self.n_vars, guard=guard)
+                             n=self.n_vars, guard=DENSE_GUARD)
         return ((self.basis_u * self.diag_d[None, :]) @ self.basis_u.T
                 + self.iso * np.eye(self.n_vars))
 
@@ -261,12 +250,9 @@ def gaussian_kl(p_cov: FactoredCovariance, q_model: LowRankPrecision,
                + c * dp.sum() + c * iso * n)
     logdet_p = p_cov.logdet()
     logdet_q = q_model.logdet
-    mean_term = 0.0
     p_mu = np.zeros(n) if p_mean is None else np.asarray(p_mean, dtype=np.float64)
-    diff = p_mu - q_model.mean
-    if np.any(diff):
-        w = a.T @ diff
-        mean_term = float(w @ (dq * w) + c * (diff @ diff))
+    mean_term = float(_mean_quadratic_form(q_model.basis_a, p_mu.reshape(n, 1),
+                                           q_model.mean, dq, c))
     kl = 0.5 * (tr - n - logdet_p - logdet_q + mean_term)
     if not np.isfinite(kl):
         raise NumericError("KL divergence is not finite", kl=float(kl))

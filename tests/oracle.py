@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericError, UsageError
+from specprec.errors import NumericError, UsageError
 
 __all__ = [
     "dense_riccati",

@@ -22,8 +22,8 @@ from specprec import (DataMatrix, LowRankPrecision, center,
                       true_precision, true_precision_frob)
 from specprec.cli import main as cli_main
 from specprec.experiment import ScenarioConfig, run_scenario
-from specprec.oracle import (dense_conditional, dense_loglik, dense_riccati,
-                             dense_tikhonov, kkt_residual)
+from oracle import (dense_conditional, dense_loglik, dense_riccati,
+                    dense_tikhonov, kkt_residual)
 
 from conftest import ACCEPTANCE_LINES, random_orthonormal_model
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 
 from specprec import load_model, load_model_with_rho, materialize_dense
 from specprec.cli import (DEFAULT_RHO_GRID, EXIT_DATA, EXIT_NUMERIC,
-                          EXIT_USAGE, main, parse_rho_grid)
+                          EXIT_USAGE, build_parser, main, parse_rho_grid)
 from specprec.errors import UsageError
-from specprec.oracle import dense_riccati, dense_tikhonov
+from oracle import dense_riccati, dense_tikhonov
 
 DATA = Path(__file__).parent / "data"
 SMALL = str(DATA / "small.csv")
@@ -25,6 +26,20 @@ def small_cov():
 def read_csv_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("specprec ")]
+    assert {argv[0] for argv in commands} == {"fit", "eval", "path", "sparsify",
+                                              "screen", "simulate", "bench"}
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+        if "--rho-grid" in argv:
+            parse_rho_grid(argv[argv.index("--rho-grid") + 1])
 
 
 def test_parse_rho_grid_log():

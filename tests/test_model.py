@@ -10,7 +10,7 @@ from specprec import (DataError, DataMatrix, EigenBounds, LowRankPrecision,
                       load_model_with_rho, log_likelihood, materialize_dense,
                       partial_correlation, save_model, save_model_with_rho,
                       screen_unimportant)
-from specprec.oracle import dense_conditional, dense_loglik
+from oracle import dense_conditional, dense_loglik
 
 from specprec.model import _ROW_BLOCK
 from specprec.sparsify import sparsify_model
@@ -162,6 +162,13 @@ def test_average_loglik_dense_oracle_dense_and_csr(rng):
         want = np.mean([dense_loglik(materialize_dense(m), m.mean, xs[:, t])
                         for t in range(7)])
         assert abs(average_log_likelihood(m, xs) - want) <= 1e-9 * abs(want)
+
+
+def test_loglik_is_the_one_column_average_dense_and_csr(rng):
+    n = _ROW_BLOCK + 37
+    for m in _dense_and_csr_models(rng, n, 5):
+        x = m.mean + rng.standard_normal(n)
+        assert log_likelihood(m, x) == average_log_likelihood(m, x[:, None])
 
 
 def test_conditional_dense_oracle_csr_basis(rng):

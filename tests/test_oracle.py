@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from specprec.errors import NumericError
-from specprec.oracle import (dense_conditional, dense_kl, dense_loglik,
-                             dense_riccati, dense_tikhonov, kkt_residual)
+from oracle import (dense_conditional, dense_kl, dense_loglik,
+                    dense_riccati, dense_tikhonov, kkt_residual)
 
 
 def random_psd(rng, n, t=4):

@@ -8,7 +8,7 @@ from specprec import (DataMatrix, NumericError, SpectralBasis, UsageError,
                       isotropic_fit, materialize_dense, random_spiked,
                       riccati_fit, select_rho_by_validation, solution_path,
                       spectral, thin_svd, tikhonov_fit, true_precision)
-from specprec.oracle import dense_riccati, dense_tikhonov, kkt_residual
+from oracle import dense_riccati, dense_tikhonov, kkt_residual
 
 from conftest import centered_data, sample_cov
 
@@ -98,6 +98,22 @@ def test_thin_svd_gram_path_zero_underflow_and_overflow(rng, monkeypatch, scale)
     assert b.rank == expected.rank == (0 if scale == 0.0 else 3)
     np.testing.assert_allclose(b.basis_u.T @ b.basis_u, np.eye(b.rank), atol=1e-10)
     np.testing.assert_array_equal(b.data_singvals, expected.data_singvals)
+
+
+def test_overflowed_covariance_spectrum_is_refused_by_name(rng):
+    # the singular values of this data are finite, but s^2 / T overflows
+    x = rng.standard_normal((4096, 4))
+    x -= x.mean(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        b = thin_svd(DataMatrix(values=x * 1e160, mean=np.zeros(4096)))
+    assert b.rank == 3 and b.spec_norm_cov == np.inf
+    for fit in (riccati_fit, tikhonov_fit):
+        with pytest.raises(NumericError, match="overflowed float64"):
+            fit(b, 1.0)
+    with pytest.raises(NumericError, match="overflowed float64"):
+        eigen_bounds(float("nan"), 1.0)
+    with pytest.raises(UsageError):
+        eigen_bounds(-1.0, 1.0)
 
 
 def test_thin_svd_gram_path_falls_back_to_householder(rng, monkeypatch):
@@ -384,7 +400,7 @@ def test_select_rho_scores_equal_model_likelihoods(rng, method):
     expected = np.array([average_log_likelihood(path.model_at(i), raw_val)
                          for i in range(len(path))])
     np.testing.assert_array_equal(table[:, 0], path.rhos)
-    np.testing.assert_allclose(table[:, 1], expected, rtol=1e-12, atol=0.0)
+    np.testing.assert_array_equal(table[:, 1], expected)
     best = max(range(len(path)), key=lambda i: (expected[i], path.rhos[i]))
     assert rho == path.rhos[best]
 

@@ -3,10 +3,11 @@ import pytest
 
 from specprec import (LowRankPrecision, NumericError, SpikedModel, UsageError,
                       concentration_gamma, gaussian_kl, kl_excess_bound,
-                      materialize_dense, random_spiked, recommend_rho,
-                      riccati_fit, sample, thin_svd, true_covariance,
-                      true_precision, true_precision_frob, center)
-from specprec.oracle import dense_kl
+                      log_likelihood, materialize_dense, random_spiked,
+                      recommend_rho, riccati_fit, sample, sparsify_model,
+                      thin_svd, true_covariance, true_precision,
+                      true_precision_frob, center)
+from oracle import dense_kl
 
 
 def test_random_spiked_dense_single_component():
@@ -212,6 +213,23 @@ def test_gaussian_kl_matches_dense_oracle(rng):
     want = dense_kl(true_covariance(truth).materialize(), np.zeros(25),
                     materialize_dense(model), model.mean)
     assert got == pytest.approx(want, abs=1e-8)
+
+
+def test_gaussian_kl_mean_term_is_the_likelihood_quadratic_form(rng):
+    # KL(P || Q) with mean mu_P adds (mu_P - mu_Q)^T Omega_Q (mu_P - mu_Q) / 2,
+    # which is logdet Omega_Q - log_likelihood(Q, mu_P), up to the rounding of
+    # that subtraction; at mu_P = mu_Q the term is exactly zero
+    truth = random_spiked(300, 3, 1.0, 0.2, seed=31)
+    p_cov = true_covariance(truth)
+    model = riccati_fit(thin_svd(center(sample(truth, 20, "gaussian", seed=32))), 0.5)
+    for q in (model, sparsify_model(model, 0.5, "hard")[0]):
+        base = 2.0 * gaussian_kl(p_cov, q, q.mean)
+        for _ in range(3):
+            p_mean = q.mean + rng.standard_normal(300)
+            ll = log_likelihood(q, p_mean)
+            want = 0.5 * (base + (q.logdet - ll))
+            got = gaussian_kl(p_cov, q, p_mean)
+            assert abs(got - want) <= 4 * np.finfo(float).eps * (abs(q.logdet) + abs(ll))
 
 
 def test_gaussian_kl_refuses_non_finite_inputs():
