@@ -86,22 +86,21 @@ def _centered_validation(args, mean, scale):
 
 def cmd_fit(args) -> int:
     t0 = time.perf_counter()
+    if args.rho is not None and args.val is not None:
+        raise UsageError("--val selects rho from --rho-grid; it cannot be used with --rho")
     data, mean, scale = _prepare(args)
     basis = spectral.thin_svd(data)
-    selected = None
-    if args.rho is not None:
-        rho = args.rho
-    else:
-        grid = parse_rho_grid(args.rho_grid)
-        if args.val is None:
-            raise UsageError("--rho-grid needs --val to select rho")
-        path = spectral.solution_path(basis, grid, args.method)
+    grid = [args.rho] if args.rho is not None else parse_rho_grid(args.rho_grid)
+    if args.rho is None and args.val is None:
+        raise UsageError("--rho-grid needs --val to select rho")
+    # a fit is the entry of its path at the selected rho
+    path = spectral.solution_path(basis, grid, args.method)
+    best = 0
+    if args.val is not None:
         rho, _ = spectral.select_rho_by_validation(
             path, _centered_validation(args, mean, scale))
-        selected = rho
-    fit = (spectral.riccati_fit if args.method == "riccati"
-           else spectral.tikhonov_fit)
-    fitted = fit(basis, rho)
+        best = int(np.flatnonzero(path.rhos == rho)[0])
+    fitted, rho = path.model_at(best), float(path.rhos[best])
     model_mod.save_model(fitted, args.output, rho=rho)
     wall = time.perf_counter() - t0
     report = {
@@ -110,7 +109,7 @@ def cmd_fit(args) -> int:
         "n_samples": basis.n_samples,
         "rank": basis.rank,
         "rho": rho,
-        "rho_selected_by_validation": selected is not None,
+        "rho_selected_by_validation": args.val is not None,
         "alpha": fitted.bounds.alpha,
         "beta": fitted.bounds.beta,
         "zero_variance_vars": list(data.zero_variance),
@@ -127,19 +126,27 @@ def cmd_fit(args) -> int:
     return 0
 
 
+# the scenario keys of eval --scenario: the arguments of spiked.random_spiked
+_TRUTH_KEYS = {"n": "int", "k": "int", "beta": "float", "density": "float", "seed": "int"}
+
+
 def cmd_eval(args) -> int:
     fitted = model_mod.load_model(args.model)
+    truth = None
+    if args.scenario:
+        doc = model_mod._read_json(args.scenario, "scenario file")
+        experiment._check_keys(doc, _TRUTH_KEYS, required=_TRUTH_KEYS)
+        if doc["n"] != fitted.n_vars:
+            raise DataError("scenario dimension does not match the model",
+                            expected=fitted.n_vars, got=doc["n"])
+        truth = spiked.random_spiked(**doc)
     data = _load(args, args.input)
     if data.n_vars != fitted.n_vars:
         raise DataError("test data dimension mismatch",
                         expected=fitted.n_vars, got=data.n_vars)
     avg_ll = model_mod.average_log_likelihood(fitted, data)
     rows = [("avg_neg_loglik", -avg_ll), ("n_samples", data.n_samples)]
-    if args.scenario:
-        with open(args.scenario, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        truth = spiked.random_spiked(doc["n"], doc["k"], doc["beta"],
-                                     doc["density"], doc["seed"])
+    if truth is not None:
         sigma = spiked.true_covariance(truth)
         # -0.5 logdet Sigma* - N/2 + 0.5 * avg NLL estimates KL(P || model)
         adjusted = -0.5 * sigma.logdet() - 0.5 * fitted.n_vars - 0.5 * avg_ll
@@ -184,18 +191,17 @@ def cmd_sparsify(args) -> int:
 
 def cmd_screen(args) -> int:
     fitted = model_mod.load_model(args.model)
-    unimportant, q = model_mod.screen_unimportant(fitted, args.epsilon)
+    unimportant, _ = model_mod.screen_unimportant(fitted, args.epsilon)
+    edges = model_mod.important_edges(fitted, args.epsilon, args.max_edges)
     with open(args.unimportant_out, "w", encoding="utf-8") as fh:
         for n in unimportant:
             fh.write(f"{int(n)}\n")
-    edges = model_mod.important_edges(fitted, args.epsilon, args.max_edges)
     _write_csv_rows(args.edges_out, ("n1", "n2", "partial_correlation"), edges)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    with open(args.scenario, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = model_mod._read_json(args.scenario, "scenario file")
     config = experiment.ScenarioConfig.from_dict(doc)
     rows = experiment.run_scenario(config)
     _write_csv_rows(args.output, experiment.RESULT_COLUMNS, rows)
@@ -208,6 +214,8 @@ def cmd_bench(args) -> int:
     except ValueError:
         raise UsageError("bench N grid must be comma-separated integers",
                          got=args.n_grid) from None
+    if args.repeats < 1:
+        raise UsageError("bench needs --repeats of at least 1", repeats=args.repeats)
     rng = np.random.default_rng(args.seed)
     rows = []
     for n in n_grid:

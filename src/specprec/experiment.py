@@ -8,6 +8,7 @@ Gaussian projection of the ground truth to each learnt model.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -38,15 +39,37 @@ class ScenarioConfig:
     root_seed: int = 0
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "ScenarioConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(doc) - known
-        if extra:
-            raise UsageError("unknown scenario keys", keys=sorted(extra))
+    def from_dict(cls, doc) -> "ScenarioConfig":
+        fields = dataclasses.fields(cls)
+        required = [f.name for f in fields if f.default is dataclasses.MISSING
+                    and f.default_factory is dataclasses.MISSING]
+        _check_keys(doc, {f.name: f.type for f in fields}, required)
         doc = dict(doc)
         if "rho_grid" in doc:
             doc["rho_grid"] = tuple(float(r) for r in doc["rho_grid"])
         return cls(**doc)
+
+
+# value checks per key annotation; integer keys are counts or seeds; type() refuses bool
+_KINDS = {"int": lambda v: type(v) is int and v >= 0,
+          "float": lambda v: type(v) in (int, float),
+          "str": lambda v: type(v) is str,
+          "tuple[float, ...]": lambda v: type(v) is list and all(type(x) in (int, float)
+                                                                 for x in v)}
+
+
+def _check_keys(doc, kinds: dict, required) -> None:
+    """Refuse a scenario that is not an object or has unknown, missing or
+    mistyped keys; ``kinds`` maps each key to its annotation."""
+    if not isinstance(doc, dict):
+        raise UsageError("scenario must be a JSON object", got=type(doc).__name__)
+    for message, keys in (
+            ("unknown scenario keys", sorted(set(doc) - set(kinds))),
+            ("missing scenario keys", [k for k in required if k not in doc]),
+            ("scenario keys of the wrong type",
+             [k for k, v in doc.items() if k in kinds and not _KINDS[kinds[k]](v)])):
+        if keys:
+            raise UsageError(message, keys=keys)
 
 
 def _fit_and_score(basis, rho_grid, method, val_centered, p_cov):

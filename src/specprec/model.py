@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -106,10 +106,8 @@ def _require_orthonormal(a, tol: float, what: str, gram=None) -> None:
     ``gram`` is A^T A when the caller has just summed it from the stored A,
     which saves the O(N r^2) pass that computes it here otherwise.
     """
-    r = a.shape[1]
-    if r == 0:
-        return
-    dev = float(np.abs((_gram(a) if gram is None else gram) - np.eye(r)).max())
+    g = _gram(a) if gram is None else gram
+    dev = float(np.abs(g - np.eye(a.shape[1])).max(initial=0.0))
     if not dev <= tol:
         raise NumericError(f"{what} is not orthonormal", deviation=dev, tol=tol)
 
@@ -129,20 +127,18 @@ def _spectrum_logdet(n: int, diag_d, c):
 
 
 def _low_rank_top_eigval(a, diag_d: np.ndarray, gram=None) -> float:
-    """Largest eigenvalue of A diag(-d) A^T for d <= 0, in O(N r^2).
+    """Largest eigenvalue mu of A diag(-min(d, 0)) A^T, from the spectrum of
+    the r x r matrix B^T B with B = A sqrt(-min(d, 0)), in O(N r^2).
 
-    Its nonzero spectrum is that of the r x r Gram matrix B^T B with
-    B = A sqrt(-d), so A diag(d) A^T + c I has every eigenvalue in
-    [c - mu, c] and is positive definite when c - mu > 0.  A non-finite
-    Gram is refused, since ``eigvalsh`` can return finite values for it.
-    ``gram`` is A^T A when the caller has just summed it from A.
+    A non-finite Gram gives NaN, since ``eigvalsh`` can return finite values
+    for it.  ``gram`` is A^T A when the caller has already summed or proven it.
     """
     if diag_d.size == 0:
         return 0.0
-    root = np.sqrt(-diag_d)
+    root = np.sqrt(-np.minimum(diag_d, 0.0))
     g = (_gram(a) if gram is None else gram) * root[:, None] * root[None, :]
     if not np.isfinite(g).all():
-        raise NumericError("basis or diagonal is not finite")
+        return float("nan")
     return float(np.linalg.eigvalsh(g).max())
 
 
@@ -161,11 +157,11 @@ def _column_max(x: np.ndarray) -> np.ndarray:
 class LowRankPrecision:
     """Precision matrix A diag(d) A^T + c I with mean vector.
 
-    ``orthonormal`` asserts A^T A = I (checked at construction), in which
-    case positive definiteness reduces to c > 0 and d_t + c > 0 and is
-    certified automatically.  Non-orthonormal models are only certified when
-    built by an operation that proves definiteness; ``load_model`` proves it
-    again for a stored one.  The diagonal, c and the mean must be finite.
+    ``pd_certified`` follows from the model's own arrays by one rule: with mu
+    the top eigenvalue of A diag(-min(d, 0)) A^T, read from the Gram matrix
+    A^T A, Omega >= (c - mu) I, so the model is certified iff c - mu > 0.
+    ``orthonormal`` asserts A^T A = I, proven at construction; a model that
+    is not then positive definite is refused.  d, c and the mean must be finite.
     """
 
     basis_a: object  # ndarray or scipy sparse, N x r
@@ -174,12 +170,14 @@ class LowRankPrecision:
     mean: np.ndarray
     orthonormal: bool = False
     bounds: EigenBounds | None = None
-    pd_certified: bool = False
+    pd_certified: bool = field(init=False)
 
     def __post_init__(self):
-        self._validate(basis_checked=False)
+        self._validate(gram=None)
 
-    def _validate(self, basis_checked: bool):
+    def _validate(self, gram):
+        """Check the fields and set ``pd_certified``; ``gram`` is A^T A, or
+        None to sum it here in O(N r^2)."""
         a = self.basis_a
         if not _is_sparse(a):
             a = np.asarray(a, dtype=np.float64)
@@ -203,10 +201,12 @@ class LowRankPrecision:
         if not (np.isfinite(self.c) and np.isfinite(d).all() and np.isfinite(mean).all()):
             raise NumericError("diagonal, c and mean must be finite")
         if self.orthonormal:
-            if not basis_checked:
-                _require_orthonormal(self.basis_a, 1e-8, "model basis")
+            _require_orthonormal(self.basis_a, 1e-8, "model basis", gram)
             _spectrum_logdet(n, d, self.c)
-            object.__setattr__(self, "pd_certified", True)
+            mu = float(np.max(-d, initial=0.0))  # mu when A^T A = I
+        else:
+            mu = _low_rank_top_eigval(self.basis_a, d, gram)
+        object.__setattr__(self, "pd_certified", bool(self.c - mu > 0.0))
 
     @property
     def n_vars(self) -> int:
@@ -241,22 +241,15 @@ class LowRankPrecision:
             raise NumericError(f"{op} requires a positive-definiteness-certified model")
 
 
-def _with_checked_basis(basis_a: np.ndarray, diag_d, c: float, mean,
-                        bounds: EigenBounds | None = None) -> LowRankPrecision:
-    """Orthonormal model over a float64 basis whose A^T A = I its caller has
-    already proven to 1e-8 or tighter (``SpectralBasis`` and ``SpikedModel``
-    prove 1e-10 with ``_require_orthonormal``).
-
-    Skips only the O(N r^2) Gram check; shapes and positive definiteness
-    are still validated, so a fit or path entry costs O(r).
-    """
-    model = object.__new__(LowRankPrecision)
-    for name, value in (("basis_a", basis_a), ("diag_d", diag_d), ("c", c),
-                        ("mean", mean), ("orthonormal", True), ("bounds", bounds),
-                        ("pd_certified", False)):
-        object.__setattr__(model, name, value)
-    model._validate(basis_checked=True)
-    return model
+def _with_gram(cls, gram, **fields):
+    """A ``LowRankPrecision`` or ``SpectralBasis`` checked like any other, but
+    reading the Gram matrix of its basis from ``gram``: summed by the caller
+    from the stored basis, or I for a basis proven orthonormal to 1e-10."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    obj._validate(gram)
+    return obj
 
 
 def _mean_quadratic_form(a, values: np.ndarray, mean, diag_d, c):
@@ -340,19 +333,15 @@ def conditional(model: LowRankPrecision, part1, part2, x2):
         raise UsageError("x2 length must match part2", expected=p2.size, got=x2.shape)
     a = model.basis_a
     u1 = _dense(a[p1])
-    r = model.rank
-    if r:
-        z = np.zeros(model.n_vars)
-        z[p2] = x2 - model.mean[p2]
-        w = model.diag_d * (a.T @ z)
-        gram = u1.T @ u1
-        s = np.linalg.solve(model.diag_d[:, None] * gram + model.c * np.eye(r), w)
-        mu_1_given_2 = model.mean[p1] - u1 @ s
-    else:
-        mu_1_given_2 = model.mean[p1].copy()
-    cond = LowRankPrecision(basis_a=u1, diag_d=model.diag_d.copy(),
-                            c=model.c, mean=mu_1_given_2,
-                            orthonormal=False, pd_certified=True)
+    z = np.zeros(model.n_vars)
+    z[p2] = x2 - model.mean[p2]
+    w = model.diag_d * (a.T @ z)
+    gram = u1.T @ u1
+    s = np.linalg.solve(model.diag_d[:, None] * gram + model.c * np.eye(model.rank), w)
+    mu_1_given_2 = model.mean[p1] - u1 @ s
+    # U1^T U1 <= I, so the conditional of a certified model is certified
+    cond = _with_gram(LowRankPrecision, gram, basis_a=u1, diag_d=model.diag_d.copy(),
+                      c=model.c, mean=mu_1_given_2, orthonormal=False)
     return mu_1_given_2, cond
 
 
@@ -423,6 +412,8 @@ def important_edges(model: LowRankPrecision, epsilon: float, max_edges: int,
     must be integer indices in [0, N), and are sorted and de-duplicated.
     """
     model._require_pd("important_edges")
+    if max_edges < 0:
+        raise UsageError("max_edges must be nonnegative", max_edges=max_edges)
     if candidates is None:
         screened, _ = screen_unimportant(model, epsilon)
         mask = np.ones(model.n_vars, dtype=bool)
@@ -530,13 +521,18 @@ def load_model(path) -> LowRankPrecision:
     return load_model_with_rho(path)[0]
 
 
-def load_model_with_rho(path):
-    """Load a model and its stored fitting rho (None when absent)."""
+def _read_json(path, what: str):
+    """A parsed JSON file; text that does not parse is a DataError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError("model file is not valid JSON", detail=str(exc)) from None
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise DataError(f"{what} is not valid JSON", detail=str(exc)) from None
+
+
+def load_model_with_rho(path):
+    """Load a model and its stored fitting rho (None when absent)."""
+    doc = _read_json(path, "model file")
     if not isinstance(doc, dict) or doc.get("format_version") != 1:
         raise DataError("unsupported model format", got=doc.get("format_version")
                         if isinstance(doc, dict) else type(doc).__name__)
@@ -563,14 +559,10 @@ def load_model_with_rho(path):
         except (KeyError, TypeError, ValueError, NumericError) as exc:
             raise DataError("invalid bounds in model file", detail=str(exc)) from None
     try:
-        # a non-orthonormal model (a sparsified one) is certified again from
-        # its own arrays with the check sparsify_model makes, never from a
-        # stored flag; the constructor refuses non-finite d, c and mean
-        certified = (not orthonormal and np.all(diag <= 0.0)
-                     and c - _low_rank_top_eigval(basis, diag) > 0.0)
+        # the constructor certifies the model from its own arrays, never
+        # from a stored flag, and refuses non-finite d, c and mean
         model = LowRankPrecision(basis_a=basis, diag_d=diag, c=c, mean=mean,
-                                 orthonormal=orthonormal, bounds=bounds,
-                                 pd_certified=bool(certified))
+                                 orthonormal=orthonormal, bounds=bounds)
     except NumericError as exc:
         raise DataError("model file violates invariants", detail=exc.message) from None
     return model, rho

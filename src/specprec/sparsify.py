@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NumericError, UsageError
 from .model import (_ROW_BLOCK, EigenBounds, LowRankPrecision, _low_rank_top_eigval,
-                    _is_sparse, _row_blocks, materialize_dense)
+                    _is_sparse, _row_blocks, _with_gram, materialize_dense)
 
 __all__ = [
     "SparsifyReport",
@@ -149,12 +149,10 @@ def sparsify_model(model: LowRankPrecision, lam: float, mode: str = "soft"):
     Requires the model in the form U diag(d) U^T + beta I with bounds present
     and -(beta - alpha) < d_t <= 0, which is what the Riccati estimator
     produces (its isotropic term 1/sqrt(rho) is exactly the upper bound).
-
-    If the thresholded low-rank part has top eigenvalue mu > beta - alpha
-    (hard thresholding can do this), the thresholded basis is scaled by
-    sqrt((beta - alpha) / mu); the nonzero pattern is unchanged.  The
-    returned model is certified with bounds [smallest, beta], where smallest
-    is the exact smallest eigenvalue (>= alpha up to rounding).
+    A thresholded basis whose top eigenvalue mu exceeds beta - alpha is
+    rescaled as the module docstring says.  The returned model's bounds are
+    [smallest, beta], smallest the exact smallest eigenvalue (>= alpha up to
+    rounding).
     """
     if not model.orthonormal:
         raise UsageError("sparsify requires an orthonormal model")
@@ -173,23 +171,20 @@ def sparsify_model(model: LowRankPrecision, lam: float, mode: str = "soft"):
     n, r = sparse_u.shape
     # exact smallest eigenvalue beta - mu from the r x r Gram matrix of the
     # low-rank part, summed while thresholding; never materializes n x n
-    if r:
-        lam_max = _low_rank_top_eigval(sparse_u, d, gram=gram)
-        if lam_max > beta - alpha:
-            # scaling the basis by s scales the Gram spectrum by s^2; this
-            # pulls the smallest eigenvalue back up to alpha, keeps the
-            # sparsity pattern and costs O(nnz)
-            scale2 = (beta - alpha) / lam_max
-            sparse_u.data *= np.sqrt(scale2)
-            lam_max *= scale2
-        smallest = beta - lam_max
-    else:
-        smallest = beta
-    certified = smallest > 0.0
-    new_bounds = EigenBounds(alpha=smallest, beta=beta) if certified else None
-    sparse_model = LowRankPrecision(
-        basis_a=sparse_u, diag_d=d.copy(), c=beta, mean=model.mean,
-        orthonormal=False, bounds=new_bounds, pd_certified=certified)
+    lam_max = _low_rank_top_eigval(sparse_u, d, gram)
+    if lam_max > beta - alpha:
+        # scaling the basis by s scales the Gram matrix by s^2; this pulls
+        # the smallest eigenvalue back up to alpha, keeps the sparsity
+        # pattern and costs O(nnz)
+        scale2 = (beta - alpha) / lam_max
+        sparse_u.data *= np.sqrt(scale2)
+        gram *= scale2
+        lam_max *= scale2
+    smallest = beta - lam_max
+    new_bounds = EigenBounds(alpha=smallest, beta=beta) if smallest > 0.0 else None
+    # the model is certified from the Gram matrix of its stored basis
+    sparse_model = _with_gram(LowRankPrecision, gram, basis_a=sparse_u, diag_d=d.copy(),
+                              c=beta, mean=model.mean, orthonormal=False, bounds=new_bounds)
     basis_density = sparse_u.nnz / (n * r) if r else 0.0
     bound = (2.0 * lam + lam * lam) * (beta - alpha)
     offdiag = gap = None

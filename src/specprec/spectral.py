@@ -16,7 +16,7 @@ import numpy as np
 from .dataset import DataMatrix
 from .errors import NumericError, UsageError
 from .model import (_ROW_BLOCK, EigenBounds, LowRankPrecision, _mean_quadratic_form,
-                    _require_orthonormal, _spectrum_logdet, _with_checked_basis)
+                    _require_orthonormal, _spectrum_logdet, _with_gram)
 
 __all__ = [
     "SpectralBasis",
@@ -78,16 +78,6 @@ class SpectralBasis:
     def spec_norm_cov(self) -> float:
         """||Sigma||_2 = largest covariance eigenvalue (0 for rank 0)."""
         return float(self.cov_eigvals[0]) if self.rank else 0.0
-
-
-def _with_gram(gram, **fields) -> SpectralBasis:
-    """SpectralBasis checked like any other, except that the orthonormality
-    proof reads ``gram``, U^T U summed from the stored U, when it is given."""
-    basis = object.__new__(SpectralBasis)
-    for name, value in fields.items():
-        object.__setattr__(basis, name, value)
-    basis._validate(gram)
-    return basis
 
 
 # A Gram matrix this close to I shows U orthonormal to rounding; another
@@ -165,8 +155,8 @@ def thin_svd(data: DataMatrix) -> SpectralBasis:
         keep = s > max(n, t) * eps * s[0]
         u = u[:, keep]
         s = s[keep]
-    return _with_gram(gram, basis_u=u, data_singvals=s, cov_eigvals=s * s / t,
-                      n_vars=n, n_samples=t, mean=data.mean)
+    return _with_gram(SpectralBasis, gram, basis_u=u, data_singvals=s,
+                      cov_eigvals=s * s / t, n_vars=n, n_samples=t, mean=data.mean)
 
 
 def _riccati_diag(cov_eigvals: np.ndarray, rho: float):
@@ -217,20 +207,14 @@ def eigen_bounds(spec_norm_cov: float, rho: float, method: str = "riccati") -> E
     return EigenBounds(alpha=float(alpha), beta=float(beta))
 
 
-def _fit(basis: SpectralBasis, rho: float, method: str) -> LowRankPrecision:
-    bounds = eigen_bounds(basis.spec_norm_cov, rho, method)  # refuses a bad rho first
-    diag, c = _DIAG_MAPS[method](basis.cov_eigvals, rho)
-    return _with_checked_basis(basis.basis_u, diag, c, basis.mean, bounds)
-
-
 def riccati_fit(basis: SpectralBasis, rho: float) -> LowRankPrecision:
     """Closed-form solution of the Frobenius-penalized likelihood problem."""
-    return _fit(basis, rho, "riccati")
+    return solution_path(basis, [rho], "riccati").model_at(0)
 
 
 def tikhonov_fit(basis: SpectralBasis, rho: float) -> LowRankPrecision:
     """Closed-form solution (Sigma + rho I)^{-1} in factored form."""
-    return _fit(basis, rho, "tikhonov")
+    return solution_path(basis, [rho], "tikhonov").model_at(0)
 
 
 @dataclass(frozen=True)
@@ -247,20 +231,23 @@ class RegularizationPath:
         return self.rhos.size
 
     def model_at(self, i: int) -> LowRankPrecision:
-        """O(r) model extraction; the basis is shared, not copied or re-checked."""
-        return _with_checked_basis(
-            self.basis.basis_u, self.diags[i], float(self.cs[i]), self.basis.mean,
-            eigen_bounds(self.basis.spec_norm_cov, float(self.rhos[i]), self.method))
+        """Model extraction in O(r^2); the basis, which ``SpectralBasis`` has
+        proven orthonormal, is shared, not copied, and its proof reads I."""
+        basis = self.basis
+        return _with_gram(
+            LowRankPrecision, np.eye(basis.rank), basis_a=basis.basis_u,
+            diag_d=self.diags[i], c=float(self.cs[i]), mean=basis.mean, orthonormal=True,
+            bounds=eigen_bounds(basis.spec_norm_cov, float(self.rhos[i]), self.method))
 
 
 def solution_path(basis: SpectralBasis, rhos, method: str = "riccati") -> RegularizationPath:
     """Fit every rho in O(r) each after the one-time SVD."""
-    if method not in _DIAG_MAPS:
-        raise UsageError("unknown method", method=method)
     rhos = np.asarray(rhos, dtype=np.float64).ravel()
     if rhos.size == 0:
         raise UsageError("rho grid is empty")
     _require_rho(rhos)
+    # refuses a bad method or spectrum before any diagonal map runs
+    eigen_bounds(basis.spec_norm_cov, float(rhos[0]), method)
     # one broadcast call; each row equals the map's scalar call bit for bit
     diags, cs = _DIAG_MAPS[method](basis.cov_eigvals, rhos[:, None])
     return RegularizationPath(basis=basis, rhos=rhos, diags=diags, cs=cs.ravel(),

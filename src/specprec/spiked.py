@@ -16,7 +16,7 @@ from .dataset import DataMatrix, _adopt
 from .errors import NumericError, UsageError
 from .model import (_ROW_BLOCK, DENSE_GUARD, EigenBounds, LowRankPrecision, _dense,
                     _mean_quadratic_form, _require_orthonormal, _spectrum_logdet,
-                    _with_checked_basis)
+                    _with_gram)
 
 __all__ = [
     "SpikedModel",
@@ -182,7 +182,8 @@ def true_precision(model: SpikedModel) -> LowRankPrecision:
     bounds = EigenBounds(alpha=1.0 / ((d.max() if d.size else 0.0) + rho),
                          beta=1.0 / rho)
     # SpikedModel has proven its basis orthonormal
-    return _with_checked_basis(model.basis_u, diag, 1.0 / rho, np.zeros(n), bounds)
+    return _with_gram(LowRankPrecision, np.eye(d.size), basis_a=model.basis_u, diag_d=diag,
+                      c=1.0 / rho, mean=np.zeros(n), orthonormal=True, bounds=bounds)
 
 
 def true_precision_frob(model: SpikedModel) -> float:

@@ -324,6 +324,74 @@ def test_simulate_rejects_unknown_keys(tmp_path, capsys):
     assert rc == EXIT_USAGE
 
 
+SIMULATE_SCENARIO = {"n": 10, "k": 1, "beta": 1.0, "density": 0.3, "t_train": 4,
+                     "t_val": 2, "repetitions": 1}
+EVAL_SCENARIO = {"n": 6, "k": 1, "beta": 1.0, "density": 0.3, "seed": 0}
+
+
+def _scenario_cases():
+    cases = []
+    for command, good in (("simulate", SIMULATE_SCENARIO), ("eval", EVAL_SCENARIO)):
+        missing = {key: v for key, v in good.items() if key != "k"}
+        cases += [(command, json.dumps(good), 0),
+                  (command, "{not json", EXIT_DATA),
+                  (command, json.dumps([good]), EXIT_USAGE),
+                  (command, json.dumps(missing), EXIT_USAGE),
+                  (command, json.dumps(dict(good, bogus=1)), EXIT_USAGE),
+                  (command, json.dumps(dict(good, k="1")), EXIT_USAGE),
+                  (command, json.dumps(dict(good, beta=True)), EXIT_USAGE)]
+    cases += [("simulate", json.dumps(dict(SIMULATE_SCENARIO, rho_grid=[0.1, "x"])),
+               EXIT_USAGE),
+              ("simulate", json.dumps(dict(SIMULATE_SCENARIO, root_seed=-1)), EXIT_USAGE),
+              ("eval", json.dumps(dict(EVAL_SCENARIO, seed=-1)), EXIT_USAGE),
+              ("eval", json.dumps(dict(EVAL_SCENARIO, n=60)), EXIT_DATA)]
+    return cases
+
+
+@pytest.mark.parametrize("command, text, code", _scenario_cases())
+def test_scenario_files_keep_the_exit_codes(tmp_path, capsys, command, text, code):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(text)
+    out = tmp_path / "o.csv"
+    if command == "simulate":
+        argv = ["simulate", "--scenario", str(scenario), "--output", str(out)]
+    else:
+        model_path = tmp_path / "m.json"
+        assert main(["fit", "--input", SMALL, "--output", str(model_path),
+                     "--rho", "1.0"]) == 0
+        argv = ["eval", "--model", str(model_path), "--input", SMALL,
+                "--scenario", str(scenario), "--output", str(out)]
+    assert main(argv) == code
+    assert out.exists() == (code == 0)
+    if code:
+        assert json.loads(capsys.readouterr().err)["code"] == code
+
+
+def test_fit_rho_with_val_is_usage_error(tmp_path, capsys):
+    # --val is read only to select rho from the grid; with --rho it would do
+    # nothing, even for a file that does not exist
+    rc = main(["fit", "--input", SMALL, "--output", str(tmp_path / "m.json"),
+               "--rho", "0.5", "--val", str(tmp_path / "missing.csv")])
+    assert rc == EXIT_USAGE
+    assert json.loads(capsys.readouterr().err)["code"] == EXIT_USAGE
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_out_of_range_counts_are_usage_errors(tmp_path, capsys):
+    model_path = tmp_path / "m.json"
+    assert main(["fit", "--input", SMALL, "--output", str(model_path),
+                 "--rho", "0.5"]) == 0
+    outs = [tmp_path / "u.txt", tmp_path / "e.csv", tmp_path / "b.csv"]
+    for argv in (["screen", "--model", str(model_path), "--epsilon", "0.01",
+                  "--max-edges", "-1", "--unimportant-out", str(outs[0]),
+                  "--edges-out", str(outs[1])],
+                 ["bench", "--t", "8", "--n-grid", "64", "--repeats", "0",
+                  "--output", str(outs[2])]):
+        assert main(argv) == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err)["code"] == EXIT_USAGE
+    assert not any(p.exists() for p in outs)
+
+
 def test_synthetic_experiment_script_default_scenario(tmp_path, monkeypatch, capsys):
     import importlib.util
 
@@ -367,11 +435,12 @@ def test_bad_rho_grid_is_usage_error(tmp_path, capsys):
 
 
 def test_indefinite_model_is_numeric_error(tmp_path, capsys):
-    # non-orthonormal basis with a positive diagonal entry cannot be
-    # re-certified, so evaluation fails with the numeric exit code
+    # Omega = diag(1 - 0.5 * 4, 1) = diag(-1, 1) is indefinite, so the
+    # loaded model is not certified and evaluation fails with the numeric
+    # exit code
     model_path = tmp_path / "bad.json"
     doc = {"format_version": 1, "n": 2, "r": 1, "c": 1.0, "orthonormal": False,
-           "mean": [0.0, 0.0], "diag": [0.5], "basis": [[2.0], [0.0]]}
+           "mean": [0.0, 0.0], "diag": [-0.5], "basis": [[2.0], [0.0]]}
     model_path.write_text(json.dumps(doc))
     data_path = tmp_path / "d.csv"
     data_path.write_text("0,0\n0,0\n")

@@ -79,6 +79,60 @@ def test_orthonormal_model_refuses_non_finite_parameters(key, value):
                          c=args["c"], mean=np.array(args["mean"]), orthonormal=True)
 
 
+# -- one certification rule: Omega >= (c - mu) I, mu = top eig of A diag(-min(d, 0)) A^T
+
+def test_pd_certified_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        LowRankPrecision(basis_a=np.zeros((2, 0)), diag_d=np.zeros(0), c=1.0,
+                         mean=np.zeros(2), pd_certified=True)
+
+
+def test_conditionals_of_certified_models_are_certified(rng):
+    # U1^T U1 <= I for a row subset U1 of an orthonormal U, so the rule
+    # certifies the conditional of every certified model, d > 0 included
+    for _ in range(200):
+        n = int(rng.integers(2, 30))
+        r = int(rng.integers(1, n + 1))
+        q, _ = np.linalg.qr(rng.standard_normal((n, r)))
+        c = rng.uniform(0.1, 3.0)
+        d = c * rng.uniform(-0.99, 2.0, r)
+        m = LowRankPrecision(basis_a=q, diag_d=d, c=c, mean=np.zeros(n), orthonormal=True)
+        assert m.pd_certified
+        perm = rng.permutation(n)
+        k = int(rng.integers(1, n + 1))
+        _, cond = conditional(m, perm[:k], perm[k:], rng.standard_normal(n - k))
+        assert cond.pd_certified and not cond.orthonormal
+        assert np.linalg.eigvalsh(materialize_dense(cond)).min() > 0.0
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_certificate_implies_positive_definite(rng, sparse):
+    certified = refused = 0
+    for _ in range(300):
+        n, r = int(rng.integers(1, 61)), int(rng.integers(0, 8))
+        dense = rng.standard_normal((n, r)) * rng.uniform(0.05, 1.0)
+        if sparse:
+            dense *= rng.random((n, r)) < 0.4
+        a = sp.csr_matrix(dense) if sparse else dense
+        d = rng.uniform(-1.0, 1.0, r)
+        if rng.random() < 0.5:
+            d = -np.abs(d)
+        c = rng.uniform(0.1, 2.0)
+        m = LowRankPrecision(basis_a=a, diag_d=d, c=c, mean=np.zeros(n))
+        if m.pd_certified:
+            certified += 1
+            assert np.linalg.eigvalsh(materialize_dense(m)).min() > 0.0
+        else:
+            refused += 1
+        if np.all(d <= 0.0):
+            # the check load_model made for d <= 0 before the rule
+            root = np.sqrt(-d)
+            mu = (np.linalg.eigvalsh((dense.T @ dense) * np.outer(root, root)).max()
+                  if r else 0.0)
+            assert m.pd_certified == (c - mu > 0.0)
+    assert certified > 30 and refused > 30
+
+
 def test_conditional_rank_zero():
     m = iso_model(4, c=2.0)
     mu, cond = conditional(m, [0, 1], [2, 3], np.array([5.0, -1.0]))
@@ -119,8 +173,7 @@ def test_conditional_rejects_bad_partition(rng):
 
 def test_conditional_requires_orthonormal(rng):
     m = LowRankPrecision(basis_a=rng.standard_normal((4, 1)),
-                         diag_d=np.array([-0.1]), c=1.0, mean=np.zeros(4),
-                         pd_certified=True)
+                         diag_d=np.array([-0.1]), c=1.0, mean=np.zeros(4))
     with pytest.raises(UsageError):
         conditional(m, [0, 1], [2, 3], np.zeros(2))
 
@@ -242,8 +295,9 @@ def test_csr_basis_gives_its_dense_copys_results_bit_for_bit(rng):
     for a in (sp.random(n, r, density=0.3, format="csr", random_state=8),
               _non_canonical_csr(rng, n, r, 20000)):
         d, mean = rng.uniform(1e-3, 1e-2, r), rng.standard_normal(n)
-        m_csr, m_dense = (LowRankPrecision(basis_a=b, diag_d=d, c=1.0, mean=mean,
-                                           pd_certified=True) for b in (a, a.toarray()))
+        m_csr, m_dense = (LowRankPrecision(basis_a=b, diag_d=d, c=1.0, mean=mean)
+                          for b in (a, a.toarray()))
+        assert m_csr.pd_certified and m_dense.pd_certified
         assert same(_gram(a), _gram(a.toarray()))
         (s_csr, q_csr), (s_dense, q_dense) = (screen_unimportant(m, 0.01)
                                               for m in (m_csr, m_dense))
@@ -319,10 +373,12 @@ def test_partial_correlation_index_errors(rng):
 
 
 def test_partial_correlation_refuses_nan_basis():
-    # a certified model is not checked for a finite basis; d1 <= 0 is False
-    # for NaN, so the check is written the other way round
+    # a NaN basis gives a NaN Gram matrix, which leaves the model
+    # uncertified, so the certificate check refuses it before any value is
+    # computed
     m = LowRankPrecision(basis_a=np.array([[np.nan], [0.5]]), diag_d=np.array([-0.5]),
-                         c=1.0, mean=np.zeros(2), pd_certified=True)
+                         c=1.0, mean=np.zeros(2))
+    assert not m.pd_certified
     with pytest.raises(NumericError):
         partial_correlation(m, 0, 1)
 
@@ -382,6 +438,10 @@ def test_important_edges_validates_candidates(rng):
     for bad in ([70], [3, 50], [-1, 3], [1.5, 2.0], [1.0, 2.0], [True, False]):
         with pytest.raises(UsageError):
             important_edges(m, 1e-6, 1000, candidates=bad)
+    # a negative cap used to drop the last edge silently
+    assert len(important_edges(m, 1e-6, 0)) == 0
+    with pytest.raises(UsageError):
+        important_edges(m, 1e-6, -1)
 
 
 def test_important_edges_empty_for_isotropic():

@@ -408,8 +408,10 @@ def test_select_rho_scores_equal_model_likelihoods(rng, method):
 def test_fits_and_validation_reuse_the_basis_proof(rng, monkeypatch):
     # SpectralBasis and SpikedModel have proven U^T U = I; fits, path entries,
     # validation, the true precision and their log-determinants must not
-    # recompute the O(N r^2) Gram matrix
+    # recompute the O(N r^2) Gram matrix, and sparsify_model and conditional
+    # certify from the Gram matrix they have already formed
     import specprec.model
+    from specprec import conditional, sparsify_model
 
     b = thin_svd(centered_data(rng, 40, 8))
     val = DataMatrix(values=rng.standard_normal((40, 5)))
@@ -426,6 +428,11 @@ def test_fits_and_validation_reuse_the_basis_proof(rng, monkeypatch):
         path = solution_path(b, np.logspace(-2, 1, 5), method)
         assert np.isfinite(path.model_at(2).logdet)
         select_rho_by_validation(path, val)
+        _, cond = conditional(m, np.arange(15), np.arange(15, 40), val.values[15:, 0])
+        assert cond.pd_certified
+    for mode in ("soft", "hard"):
+        sm, _ = sparsify_model(riccati_fit(b, 0.5), 1.0, mode)
+        assert sm.pd_certified
     m = true_precision(truth)
     assert m.orthonormal and m.pd_certified and np.isfinite(m.logdet)
 

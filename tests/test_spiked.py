@@ -236,10 +236,12 @@ def test_gaussian_kl_refuses_non_finite_inputs():
     from specprec.spiked import FactoredCovariance
     n = 3
     p = FactoredCovariance(basis_u=np.zeros((n, 0)), diag_d=np.zeros(0), iso=1.0)
+    # a NaN basis leaves the model uncertified, so it is refused before any
+    # term of the divergence is computed
     nan_basis = LowRankPrecision(basis_a=np.array([[np.nan], [0.0], [0.0]]),
-                                 diag_d=np.array([-0.5]), c=1.0, mean=np.zeros(n),
-                                 pd_certified=True)
-    with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+                                 diag_d=np.array([-0.5]), c=1.0, mean=np.zeros(n))
+    assert not nan_basis.pd_certified
+    with pytest.raises(NumericError):
         gaussian_kl(p, nan_basis)
     # max(kl, 0.0) returns NaN for a NaN kl, so kl itself must be checked
     iso = LowRankPrecision(basis_a=np.zeros((n, 0)), diag_d=np.zeros(0), c=1.0,
