@@ -192,7 +192,9 @@ def cmd_sparsify(args) -> int:
 def cmd_screen(args) -> int:
     fitted = model_mod.load_model(args.model)
     unimportant, _ = model_mod.screen_unimportant(fitted, args.epsilon)
-    edges = model_mod.important_edges(fitted, args.epsilon, args.max_edges)
+    # the edges' default candidates, without screening again
+    edges = model_mod.important_edges(fitted, args.epsilon, args.max_edges,
+                                      np.setdiff1d(np.arange(fitted.n_vars), unimportant))
     with open(args.unimportant_out, "w", encoding="utf-8") as fh:
         for n in unimportant:
             fh.write(f"{int(n)}\n")

@@ -76,8 +76,8 @@ def _fit_and_score(basis, rho_grid, method, val_centered, p_cov):
     t0 = time.perf_counter()
     path = spectral.solution_path(basis, rho_grid, method)
     rho, _ = spectral.select_rho_by_validation(path, val_centered)
-    model = (spectral.riccati_fit(basis, rho) if method == "riccati"
-             else spectral.tikhonov_fit(basis, rho))
+    # the validated fit is its path entry
+    model = path.model_at(int(np.flatnonzero(path.rhos == rho)[0]))
     runtime_ms = (time.perf_counter() - t0) * 1e3
     kl = spiked.gaussian_kl(p_cov, model)
     return rho, kl, runtime_ms

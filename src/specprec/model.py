@@ -157,27 +157,29 @@ def _column_max(x: np.ndarray) -> np.ndarray:
 class LowRankPrecision:
     """Precision matrix A diag(d) A^T + c I with mean vector.
 
-    ``pd_certified`` follows from the model's own arrays by one rule: with mu
-    the top eigenvalue of A diag(-min(d, 0)) A^T, read from the Gram matrix
-    A^T A, Omega >= (c - mu) I, so the model is certified iff c - mu > 0.
-    ``orthonormal`` asserts A^T A = I, proven at construction; a model that
-    is not then positive definite is refused.  d, c and the mean must be finite.
+    Both flags follow from the model's own arrays, read once through the
+    r x r Gram matrix A^T A, which the model keeps as ``gram``.
+    ``orthonormal`` holds iff max |A^T A - I| <= 1e-8; an orthonormal model
+    that is not then positive definite is refused.  ``pd_certified``: with mu
+    the top eigenvalue of A diag(-min(d, 0)) A^T, Omega >= (c - mu) I, so the
+    model is certified iff c - mu > 0.  d, c and the mean must be finite.
     """
 
     basis_a: object  # ndarray or scipy sparse, N x r
     diag_d: np.ndarray
     c: float
     mean: np.ndarray
-    orthonormal: bool = False
     bounds: EigenBounds | None = None
+    orthonormal: bool = field(init=False)
     pd_certified: bool = field(init=False)
+    gram: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._validate(gram=None)
 
     def _validate(self, gram):
-        """Check the fields and set ``pd_certified``; ``gram`` is A^T A, or
-        None to sum it here in O(N r^2)."""
+        """Check the fields and set the flags; ``gram`` is A^T A, or None to
+        sum it here in O(N r^2)."""
         a = self.basis_a
         if not _is_sparse(a):
             a = np.asarray(a, dtype=np.float64)
@@ -200,12 +202,14 @@ class LowRankPrecision:
             raise DataError("mean length must match N", n=n, got=mean.shape)
         if not (np.isfinite(self.c) and np.isfinite(d).all() and np.isfinite(mean).all()):
             raise NumericError("diagonal, c and mean must be finite")
+        object.__setattr__(self, "gram", _gram(self.basis_a) if gram is None else gram)
+        dev = np.abs(self.gram - np.eye(r)).max(initial=0.0)
+        object.__setattr__(self, "orthonormal", bool(dev <= 1e-8))  # NaN fails it
         if self.orthonormal:
-            _require_orthonormal(self.basis_a, 1e-8, "model basis", gram)
             _spectrum_logdet(n, d, self.c)
             mu = float(np.max(-d, initial=0.0))  # mu when A^T A = I
         else:
-            mu = _low_rank_top_eigval(self.basis_a, d, gram)
+            mu = _low_rank_top_eigval(self.basis_a, d, self.gram)
         object.__setattr__(self, "pd_certified", bool(self.c - mu > 0.0))
 
     @property
@@ -223,14 +227,15 @@ class LowRankPrecision:
 
         An orthonormal basis gives the eigenvalues directly, so
         log det = sum_t log(d_t + c) + (N - r) log c in O(r).  Any other
-        basis goes through the matrix determinant lemma (O(N r^2)).
+        basis goes through the matrix determinant lemma on the model's Gram
+        matrix, in O(r^3).
         """
         n, r = self.basis_a.shape
         if self.orthonormal:
             return float(_spectrum_logdet(n, self.diag_d, self.c))
         if self.c <= 0.0:
             raise NumericError("log-determinant requires c > 0", c=self.c)
-        m = np.eye(r) + (_gram(self.basis_a) * self.diag_d[None, :]) / self.c
+        m = np.eye(r) + (self.gram * self.diag_d[None, :]) / self.c
         sign, val = np.linalg.slogdet(m)
         if not (sign > 0 and np.isfinite(val)):
             raise NumericError("determinant term is not positive; model is indefinite")
@@ -314,18 +319,15 @@ def conditional(model: LowRankPrecision, part1, part2, x2):
 
     Returns the conditional mean and the conditional precision, which is the
     (1,1) block of the full precision and stays in factored form with a
-    row-subset (non-orthonormal) basis.
+    row-subset basis.
 
     The mean is mu_1 - Omega_11^{-1} Omega_12 (x2 - mu_2).  Because the
-    inverse is applied to a vector in the column span of U1, it reduces to an
-    r x r linear solve against diag(d) U1^T U1 + c I, costing O(|part1| r^2).
-    A per-component gain d_t/(d_t + c) would only be exact if the part1 rows
-    of the basis were themselves orthonormal, which a row subset is not.
-    U2^T (x2 - mu_2) is read as U^T z with z zero on part1, so only the
-    part1 rows of the basis are copied.
+    inverse is applied to a vector in the column span of A1, it reduces to an
+    r x r linear solve against diag(d) A1^T A1 + c I, costing O(|part1| r^2),
+    exact for any basis since (A1 D A1^T + c I) A1 = A1 (D A1^T A1 + c I).
+    A^T z with z zero on part1 reads A2^T (x2 - mu_2), so only the part1
+    rows of the basis are copied.
     """
-    if not model.orthonormal:
-        raise UsageError("conditional requires an orthonormal model")
     model._require_pd("conditional")
     p1, p2 = _check_partition(model.n_vars, part1, part2)
     x2 = np.asarray(x2, dtype=np.float64).ravel()
@@ -339,9 +341,10 @@ def conditional(model: LowRankPrecision, part1, part2, x2):
     gram = u1.T @ u1
     s = np.linalg.solve(model.diag_d[:, None] * gram + model.c * np.eye(model.rank), w)
     mu_1_given_2 = model.mean[p1] - u1 @ s
-    # U1^T U1 <= I, so the conditional of a certified model is certified
+    # A1 diag(-min(d, 0)) A1^T is a principal submatrix of the parent's, so
+    # the conditional of a certified model is certified
     cond = _with_gram(LowRankPrecision, gram, basis_a=u1, diag_d=model.diag_d.copy(),
-                      c=model.c, mean=mu_1_given_2, orthonormal=False)
+                      c=model.c, mean=mu_1_given_2)
     return mu_1_given_2, cond
 
 
@@ -415,10 +418,7 @@ def important_edges(model: LowRankPrecision, epsilon: float, max_edges: int,
     if max_edges < 0:
         raise UsageError("max_edges must be nonnegative", max_edges=max_edges)
     if candidates is None:
-        screened, _ = screen_unimportant(model, epsilon)
-        mask = np.ones(model.n_vars, dtype=bool)
-        mask[screened] = False
-        candidates = np.flatnonzero(mask)
+        candidates = np.setdiff1d(np.arange(model.n_vars), screen_unimportant(model, epsilon)[0])
     else:
         candidates = np.asarray(candidates).ravel()
         if candidates.size and not np.issubdtype(candidates.dtype, np.integer):
@@ -540,7 +540,7 @@ def load_model_with_rho(path):
         n = int(doc["n"])
         r = int(doc["r"])
         c = float(doc["c"])
-        orthonormal = bool(doc["orthonormal"])
+        claims_orthonormal = bool(doc["orthonormal"])
         mean = np.asarray(doc["mean"], dtype=np.float64)
         diag = np.asarray(doc["diag"], dtype=np.float64)
         rho = float(doc["rho"]) if doc.get("rho") is not None else None
@@ -559,10 +559,11 @@ def load_model_with_rho(path):
         except (KeyError, TypeError, ValueError, NumericError) as exc:
             raise DataError("invalid bounds in model file", detail=str(exc)) from None
     try:
-        # the constructor certifies the model from its own arrays, never
-        # from a stored flag, and refuses non-finite d, c and mean
-        model = LowRankPrecision(basis_a=basis, diag_d=diag, c=c, mean=mean,
-                                 orthonormal=orthonormal, bounds=bounds)
+        # the constructor decides both flags from the model's own arrays,
+        # never from the stored ones, and refuses non-finite d, c and mean
+        model = LowRankPrecision(basis_a=basis, diag_d=diag, c=c, mean=mean, bounds=bounds)
     except NumericError as exc:
         raise DataError("model file violates invariants", detail=exc.message) from None
+    if claims_orthonormal and not model.orthonormal:
+        raise DataError("model file violates invariants", detail="model basis is not orthonormal")
     return model, rho

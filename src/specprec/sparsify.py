@@ -60,7 +60,6 @@ class SparsifyReport:
     spectral_gap_bound: float
     offdiag_density: float | None = None
     measured_spectral_gap: float | None = None
-    kl_bound: float | None = None
 
     def __post_init__(self):
         if (self.measured_spectral_gap is not None
@@ -75,12 +74,12 @@ def _threshold(u, lam: float, mode: str):
 
     Two passes over ``model._row_blocks``, each through one block-sized
     buffer, so no N x r temporary is built and a CSR u thresholds as its
-    dense copy does.  Pass 1 counts the kept entries of every row into an
-    exact ``indptr``.  Pass 2 forms each thresholded block densely (soft:
-    u - clip(u, -thr, thr), which is sign(u) max(|u| - thr, 0); hard: u where
-    |u| >= thr), adds its block^T block to the Gram matrix while it is in
-    cache, and gathers the kept values and their column indices into the
-    preallocated CSR arrays.
+    dense copy does.  Pass 1 counts the kept entries to size the CSR arrays.
+    Pass 2 forms each thresholded block densely (soft: u - clip(u, -thr, thr),
+    which is sign(u) max(|u| - thr, 0); hard: u where |u| >= thr), adds its
+    block^T block to the Gram matrix while it is in cache, gathers the kept
+    values and their column indices into the CSR arrays, and writes the
+    block's ``indptr`` from the positions of the kept entries.
     ``model._gram`` reads the same blocks, so for a finite u the Gram matrix
     is bit for bit the one it would compute from the returned CSR.  A hard
     threshold of 0 keeps only the nonzeros, since CSR stores no zeros.
@@ -98,36 +97,31 @@ def _threshold(u, lam: float, mode: str):
     keep = np.greater if mode == "soft" or thr == 0.0 else np.greater_equal
     buf = np.empty((min(n, _ROW_BLOCK), r))
     mask = np.empty(buf.shape, dtype=bool)
-
-    def blocks():
-        """(lo, hi, block, its buffer, its kept-entry mask) per row block."""
-        for lo, hi, block in _row_blocks(u):
-            keep(np.abs(block, out=buf[:hi - lo]), thr, out=mask[:hi - lo])
-            yield lo, hi, block, buf[:hi - lo], mask[:hi - lo]
-
-    counts = np.zeros(n + 1, dtype=np.intp)
-    for lo, hi, _, _, kept in blocks():
-        counts[lo + 1:hi + 1] = kept.sum(axis=1)
-    np.cumsum(counts, out=counts)
-    nnz = int(counts[-1])
+    nnz = sum(np.count_nonzero(keep(np.abs(block, out=buf[:hi - lo]), thr, out=mask[:hi - lo]))
+              for lo, hi, block in _row_blocks(u))
     # the index dtype scipy picks for these arrays
     index = np.int32 if max(n, r, nnz) <= np.iinfo(np.int32).max else np.int64
-    indptr = counts.astype(index)
+    indptr = np.zeros(n + 1, dtype=index)
     data = np.empty(nnz)
     indices = np.empty(nnz, dtype=index)
     columns = np.tile(np.arange(r, dtype=index), buf.shape[0])
+    row_ends = np.arange(1, buf.shape[0] + 1) * r
     gram = np.zeros((r, r))
-    for lo, hi, block, out, kept in blocks():
+    pos = 0
+    for lo, hi, block in _row_blocks(u):
+        out, kept = buf[:hi - lo], mask[:hi - lo]
+        flat = np.flatnonzero(keep(np.abs(block, out=out), thr, out=kept))
         if mode == "soft":
             np.subtract(block, np.clip(block, -thr, thr, out=out), out=out)
         else:
             np.multiply(block, kept, out=out)
         gram += out.T @ out
-        flat = np.flatnonzero(kept)
-        span = slice(indptr[lo], indptr[hi])
+        span = slice(pos, pos + flat.size)
         # flat holds in-range positions, so "clip" only skips the bounds check
         np.take(out.reshape(-1), flat, out=data[span], mode="clip")
         np.take(columns, flat, out=indices[span], mode="clip")
+        indptr[lo + 1:hi + 1] = pos + np.searchsorted(flat, row_ends[:hi - lo])
+        pos += flat.size
     return sp.csr_matrix((data, indices, indptr), shape=(n, r)), gram
 
 
@@ -184,7 +178,7 @@ def sparsify_model(model: LowRankPrecision, lam: float, mode: str = "soft"):
     new_bounds = EigenBounds(alpha=smallest, beta=beta) if smallest > 0.0 else None
     # the model is certified from the Gram matrix of its stored basis
     sparse_model = _with_gram(LowRankPrecision, gram, basis_a=sparse_u, diag_d=d.copy(),
-                              c=beta, mean=model.mean, orthonormal=False, bounds=new_bounds)
+                              c=beta, mean=model.mean, bounds=new_bounds)
     basis_density = sparse_u.nnz / (n * r) if r else 0.0
     bound = (2.0 * lam + lam * lam) * (beta - alpha)
     offdiag = gap = None

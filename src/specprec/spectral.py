@@ -236,7 +236,7 @@ class RegularizationPath:
         basis = self.basis
         return _with_gram(
             LowRankPrecision, np.eye(basis.rank), basis_a=basis.basis_u,
-            diag_d=self.diags[i], c=float(self.cs[i]), mean=basis.mean, orthonormal=True,
+            diag_d=self.diags[i], c=float(self.cs[i]), mean=basis.mean,
             bounds=eigen_bounds(basis.spec_norm_cov, float(self.rhos[i]), self.method))
 
 
@@ -289,4 +289,4 @@ def isotropic_fit(basis: SpectralBasis) -> LowRankPrecision:
         raise NumericError("isotropic MLE undefined for zero data")
     return LowRankPrecision(basis_a=np.zeros((basis.n_vars, 0)),
                             diag_d=np.zeros(0), c=basis.n_vars / trace,
-                            mean=basis.mean, orthonormal=True)
+                            mean=basis.mean)

@@ -183,7 +183,7 @@ def true_precision(model: SpikedModel) -> LowRankPrecision:
                          beta=1.0 / rho)
     # SpikedModel has proven its basis orthonormal
     return _with_gram(LowRankPrecision, np.eye(d.size), basis_a=model.basis_u, diag_d=diag,
-                      c=1.0 / rho, mean=np.zeros(n), orthonormal=True, bounds=bounds)
+                      c=1.0 / rho, mean=np.zeros(n), bounds=bounds)
 
 
 def true_precision_frob(model: SpikedModel) -> float:

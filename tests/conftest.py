@@ -35,7 +35,6 @@ def random_orthonormal_model(rng, n, r, c=1.0, mean=None):
     mean = np.zeros(n) if mean is None else mean
     alpha = c + (d.min() if r else 0.0)
     return LowRankPrecision(basis_a=q, diag_d=d, c=c, mean=mean,
-                            orthonormal=True,
                             bounds=EigenBounds(alpha=alpha, beta=c))
 
 

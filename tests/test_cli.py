@@ -226,7 +226,7 @@ def test_sparsify_uses_stored_rho_as_default(tmp_path):
     assert report["lam"] == 0.5 and report["mode"] == "soft"
     assert set(report) == {"lam", "mode", "basis_density",
                            "spectral_gap_bound", "offdiag_density",
-                           "measured_spectral_gap", "kl_bound"}
+                           "measured_spectral_gap"}
     sparse_model = load_model(sparse_path)
     assert sparse_model.n_vars == 6 and not sparse_model.orthonormal
     gap = np.abs(np.linalg.eigvalsh(
@@ -292,6 +292,24 @@ def test_screen_fitted_model(tmp_path):
     for n1, n2, v in rows[1:]:
         assert int(n1) < int(n2)
         assert abs(float(v)) > 0.01
+
+
+def test_screen_screens_once_and_writes_the_default_edges(tmp_path, monkeypatch):
+    import specprec.model as model_mod
+
+    model_path = tmp_path / "m.json"
+    main(["fit", "--input", SMALL, "--output", str(model_path), "--rho", "0.5"])
+    m = load_model(model_path)
+    want = [[str(n1), str(n2), str(v)]
+            for n1, n2, v in model_mod.important_edges(m, 0.01, 1000)]
+    calls, real = [], model_mod.screen_unimportant
+    monkeypatch.setattr(model_mod, "screen_unimportant",
+                        lambda *a: calls.append(1) or real(*a))
+    edges = tmp_path / "e.csv"
+    rc = main(["screen", "--model", str(model_path), "--epsilon", "0.01",
+               "--unimportant-out", str(tmp_path / "u.txt"), "--edges-out", str(edges)])
+    assert rc == 0 and len(calls) == 1
+    assert read_csv_rows(str(edges))[1:] == want and want
 
 
 def test_simulate_tiny_scenario(tmp_path):
@@ -449,6 +467,23 @@ def test_indefinite_model_is_numeric_error(tmp_path, capsys):
     assert rc == EXIT_NUMERIC
     err = json.loads(capsys.readouterr().err)
     assert err["code"] == EXIT_NUMERIC
+
+
+def test_disproved_orthonormal_claim_is_data_error(tmp_path, capsys):
+    # orthonormality is decided from the basis; a file whose stored claim
+    # the Gram matrix disproves is refused with the data exit code
+    model_path = tmp_path / "bad.json"
+    doc = {"format_version": 1, "n": 2, "r": 1, "c": 1.0, "orthonormal": True,
+           "mean": [0.0, 0.0], "diag": [-0.5], "basis": [[2.0], [0.0]]}
+    model_path.write_text(json.dumps(doc))
+    data_path = tmp_path / "d.csv"
+    data_path.write_text("0,0\n0,0\n")
+    rc = main(["eval", "--model", str(model_path), "--input", str(data_path),
+               "--output", str(tmp_path / "o.csv")])
+    assert rc == EXIT_DATA
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == EXIT_DATA
+    assert err["context"]["detail"] == "model basis is not orthonormal"
 
 
 @pytest.mark.parametrize("command", ["eval", "screen"])

@@ -20,8 +20,7 @@ from conftest import random_orthonormal_model, sparse_orthonormal_basis
 
 def iso_model(n, c=1.0, mean=None):
     return LowRankPrecision(basis_a=np.zeros((n, 0)), diag_d=np.zeros(0),
-                            c=c, mean=np.zeros(n) if mean is None else mean,
-                            orthonormal=True)
+                            c=c, mean=np.zeros(n) if mean is None else mean)
 
 
 def test_loglik_standard_normal_mode():
@@ -74,9 +73,18 @@ def test_orthonormal_model_refuses_non_finite_parameters(key, value):
     # deviation > tol" would certify each of these models
     args = {"basis": [[1.0], [0.0]], "diag": [-0.5], "c": 1.0, "mean": [0.0, 0.0]}
     args[key] = value
-    with pytest.raises(NumericError):
-        LowRankPrecision(basis_a=np.array(args["basis"]), diag_d=np.array(args["diag"]),
-                         c=args["c"], mean=np.array(args["mean"]), orthonormal=True)
+
+    def build():
+        return LowRankPrecision(basis_a=np.array(args["basis"]), diag_d=np.array(args["diag"]),
+                                c=args["c"], mean=np.array(args["mean"]))
+
+    if key == "basis":
+        # a NaN Gram matrix disproves orthonormality and the certificate
+        m = build()
+        assert not m.orthonormal and not m.pd_certified
+    else:
+        with pytest.raises(NumericError):
+            build()
 
 
 # -- one certification rule: Omega >= (c - mu) I, mu = top eig of A diag(-min(d, 0)) A^T
@@ -85,6 +93,24 @@ def test_pd_certified_is_not_a_constructor_argument():
     with pytest.raises(TypeError):
         LowRankPrecision(basis_a=np.zeros((2, 0)), diag_d=np.zeros(0), c=1.0,
                          mean=np.zeros(2), pd_certified=True)
+
+
+def test_orthonormal_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        LowRankPrecision(basis_a=np.eye(2)[:, :1], diag_d=np.array([-0.5]), c=1.0,
+                         mean=np.zeros(2), orthonormal=True)
+
+
+def test_orthonormal_is_decided_by_the_gram_matrix(rng):
+    q, _ = np.linalg.qr(rng.standard_normal((30, 3)))
+    d, mean = np.array([-0.5, -0.2, 0.3]), np.zeros(30)
+    assert LowRankPrecision(basis_a=q, diag_d=d, c=1.0, mean=mean).orthonormal
+    assert LowRankPrecision(basis_a=q * (1.0 + 2e-9), diag_d=d, c=1.0, mean=mean).orthonormal
+    assert not LowRankPrecision(basis_a=q * (1.0 + 1e-7), diag_d=d, c=1.0,
+                                mean=mean).orthonormal
+    # an orthonormal model whose spectrum is not positive is refused
+    with pytest.raises(NumericError):
+        LowRankPrecision(basis_a=q, diag_d=np.array([-1.0, -0.2, 0.3]), c=1.0, mean=mean)
 
 
 def test_conditionals_of_certified_models_are_certified(rng):
@@ -96,12 +122,13 @@ def test_conditionals_of_certified_models_are_certified(rng):
         q, _ = np.linalg.qr(rng.standard_normal((n, r)))
         c = rng.uniform(0.1, 3.0)
         d = c * rng.uniform(-0.99, 2.0, r)
-        m = LowRankPrecision(basis_a=q, diag_d=d, c=c, mean=np.zeros(n), orthonormal=True)
+        m = LowRankPrecision(basis_a=q, diag_d=d, c=c, mean=np.zeros(n))
         assert m.pd_certified
         perm = rng.permutation(n)
         k = int(rng.integers(1, n + 1))
         _, cond = conditional(m, perm[:k], perm[k:], rng.standard_normal(n - k))
-        assert cond.pd_certified and not cond.orthonormal
+        # a row subset is orthonormal only when it keeps every row
+        assert cond.pd_certified and cond.orthonormal == (k == n)
         assert np.linalg.eigvalsh(materialize_dense(cond)).min() > 0.0
 
 
@@ -171,13 +198,6 @@ def test_conditional_rejects_bad_partition(rng):
         conditional(m, [0, 1], [3, 4, 5], np.zeros(3))
 
 
-def test_conditional_requires_orthonormal(rng):
-    m = LowRankPrecision(basis_a=rng.standard_normal((4, 1)),
-                         diag_d=np.array([-0.1]), c=1.0, mean=np.zeros(4))
-    with pytest.raises(UsageError):
-        conditional(m, [0, 1], [2, 3], np.zeros(2))
-
-
 # -- conditional and average_log_likelihood read the basis in row blocks ------
 
 def _flat_average_loglik(m, xs):
@@ -203,7 +223,7 @@ def _dense_and_csr_models(rng, n, r):
     dense = random_orthonormal_model(rng, n, r, c=1.3, mean=rng.standard_normal(n))
     d = -rng.uniform(0.1, 0.9, size=r)
     csr = LowRankPrecision(basis_a=sparse_orthonormal_basis(rng, n, r), diag_d=d, c=1.0,
-                           mean=rng.standard_normal(n), orthonormal=True,
+                           mean=rng.standard_normal(n),
                            bounds=EigenBounds(1.0 + d.min(), 1.0))
     sparsified, _ = sparsify_model(dense, 1.0, "soft")
     return dense, csr, sparsified
@@ -235,6 +255,23 @@ def test_conditional_dense_oracle_csr_basis(rng):
     np.testing.assert_allclose(materialize_dense(cond), dense_prec, atol=1e-9)
 
 
+def test_conditional_of_sparsified_csr_model_matches_dense_oracle(rng):
+    # the r x r solve is exact for any basis, so a sparsified model is
+    # conditioned like an orthonormal one, and its conditional is certified
+    dense, _, _ = _dense_and_csr_models(rng, 120, 4)
+    perm = rng.permutation(120)
+    p1, p2 = perm[:50], perm[50:]
+    x2 = rng.standard_normal(70)
+    for mode in ("soft", "hard"):
+        m, _ = sparsify_model(dense, 1.0, mode)
+        assert sp.issparse(m.basis_a) and not m.orthonormal and m.pd_certified
+        mu, cond = conditional(m, p1, p2, x2)
+        dense_mu, dense_prec = dense_conditional(materialize_dense(m), m.mean, p1, p2, x2)
+        np.testing.assert_allclose(mu, dense_mu, atol=1e-9)
+        np.testing.assert_allclose(materialize_dense(cond), dense_prec, atol=1e-9)
+        assert cond.pd_certified
+
+
 def test_blocked_queries_match_flat_formulas_across_blocks(rng):
     n = 2 * _ROW_BLOCK + 37
     xs = rng.standard_normal((n, 9)) + 3.0
@@ -243,10 +280,9 @@ def test_blocked_queries_match_flat_formulas_across_blocks(rng):
     for m in _dense_and_csr_models(rng, n, 6):
         want = _flat_average_loglik(m, xs)
         assert abs(average_log_likelihood(m, xs) - want) <= 1e-12 * abs(want)
-        if m.orthonormal:
-            mu, _ = conditional(m, p1, p2, xs[p2, 0])
-            want_mu = _flat_conditional_mean(m, p1, p2, xs[p2, 0])
-            assert np.abs(mu - want_mu).max() <= 1e-12 * np.abs(want_mu).max()
+        mu, _ = conditional(m, p1, p2, xs[p2, 0])
+        want_mu = _flat_conditional_mean(m, p1, p2, xs[p2, 0])
+        assert np.abs(mu - want_mu).max() <= 1e-12 * np.abs(want_mu).max()
 
 
 def _non_canonical_csr(rng, n, r, nnz):
@@ -341,7 +377,7 @@ def test_conditional_and_loglik_peaks_are_block_sized():
 def rank_one_pair_model():
     a = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
     return LowRankPrecision(basis_a=a, diag_d=np.array([-0.25]), c=1.0,
-                            mean=np.zeros(2), orthonormal=True)
+                            mean=np.zeros(2))
 
 
 def test_partial_correlation_hand_value():
@@ -462,7 +498,7 @@ def test_materialize_examples():
                                0.5 * np.eye(3))
     a = np.eye(4)[:, :1]
     m = LowRankPrecision(basis_a=a, diag_d=np.array([-0.5]), c=1.0,
-                         mean=np.zeros(4), orthonormal=True)
+                         mean=np.zeros(4))
     np.testing.assert_allclose(materialize_dense(m),
                                np.diag([0.5, 1.0, 1.0, 1.0]))
 
@@ -511,6 +547,27 @@ def test_sparsified_model_roundtrip_keeps_certificate(tmp_path):
     assert not load_model(path).pd_certified
 
 
+def test_load_decides_orthonormal_from_the_basis(tmp_path):
+    doc = {"format_version": 1, "n": 2, "r": 1, "c": 1.0, "orthonormal": False,
+           "mean": [0.0, 0.0], "diag": [-0.5], "basis": [[1.0], [0.0]]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert load_model(path).orthonormal
+
+
+def test_loaded_sparse_model_sums_its_gram_once(tmp_path, rng, monkeypatch):
+    import specprec.model as model_mod
+
+    sparse, _ = sparsify_model(random_orthonormal_model(rng, 300, 4), 1.0, "hard")
+    path = tmp_path / "s.json"
+    save_model(sparse, path)
+    calls, real = [], model_mod._gram
+    monkeypatch.setattr(model_mod, "_gram", lambda a: calls.append(1) or real(a))
+    m = load_model(path)
+    average_log_likelihood(m, rng.standard_normal((300, 3)))
+    assert not m.orthonormal and len(calls) == 1
+
+
 def test_load_minimal_isotropic(tmp_path):
     doc = {"format_version": 1, "n": 2, "r": 0, "c": 1.0, "orthonormal": True,
            "mean": [0.0, 0.0], "diag": [], "basis": []}
@@ -526,6 +583,7 @@ def test_load_minimal_isotropic(tmp_path):
     lambda d: d.update(c=-1.0),                         # c <= 0 with orthonormal
     lambda d: d.update(format_version=99),
     lambda d: d.update(basis=[[1.0, 0.0]]),             # wrong basis shape
+    lambda d: d.update(basis=[[2.0], [0.0]]),           # disproves "orthonormal": true
     lambda d: d.pop("c"),
 ])
 def test_load_rejects_invalid(tmp_path, mutate):

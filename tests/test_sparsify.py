@@ -167,7 +167,7 @@ def test_hard_threshold_can_break_lower_eigen_bound():
 def test_sparsify_requires_bounds(rng):
     m = _riccati_model(rng)
     stripped = LowRankPrecision(basis_a=m.basis_a, diag_d=m.diag_d, c=m.c,
-                                mean=m.mean, orthonormal=True)
+                                mean=m.mean)
     with pytest.raises(UsageError):
         sparsify_model(stripped, 0.5)
 
@@ -175,8 +175,7 @@ def test_sparsify_requires_bounds(rng):
 def test_sparsify_rejects_positive_diag(rng):
     m = _riccati_model(rng)
     bad = LowRankPrecision(basis_a=m.basis_a, diag_d=np.abs(m.diag_d) * 0 + 1e-3,
-                           c=m.c, mean=m.mean, bounds=m.bounds,
-                           orthonormal=True)
+                           c=m.c, mean=m.mean, bounds=m.bounds)
     with pytest.raises(NumericError):
         sparsify_model(bad, 0.5)
 
@@ -184,8 +183,7 @@ def test_sparsify_rejects_positive_diag(rng):
 def test_sparsify_rejects_mismatched_isotropic_term(rng):
     m = _riccati_model(rng, rho=0.5)
     wrong_c = LowRankPrecision(basis_a=m.basis_a, diag_d=m.diag_d,
-                               c=m.c * 2.0, mean=m.mean, bounds=m.bounds,
-                               orthonormal=True)
+                               c=m.c * 2.0, mean=m.mean, bounds=m.bounds)
     with pytest.raises(UsageError):
         sparsify_model(wrong_c, 0.5)
 
@@ -342,7 +340,7 @@ def test_sparsify_sparse_input_basis_matches_flat(rng, mode):
     basis = sparse_orthonormal_basis(rng, n, r)
     d = -rng.uniform(0.1, 0.9, size=r)
     m = LowRankPrecision(basis_a=basis, diag_d=d, c=1.0, mean=np.zeros(n),
-                         orthonormal=True, bounds=EigenBounds(1.0 + d.min(), 1.0))
+                         bounds=EigenBounds(1.0 + d.min(), 1.0))
     sm, _ = sparsify_model(m, 3.0, mode)
     want, smallest = _flat_sparsify_basis(m, 3.0, mode)
     _assert_same_bytes(sm.basis_a, want)
@@ -367,7 +365,7 @@ def test_sparsify_peak_is_below_the_basis_bytes():
     rng = np.random.default_rng(7)
     m = random_orthonormal_model(rng, 1 << 16, 32)
     m = LowRankPrecision(basis_a=np.ascontiguousarray(m.basis_a), diag_d=m.diag_d, c=m.c,
-                         mean=m.mean, orthonormal=True, bounds=m.bounds)
+                         mean=m.mean, bounds=m.bounds)
     tracemalloc.start()
     try:
         sm, _ = sparsify_model(m, 4.0, "soft")

@@ -200,7 +200,7 @@ def test_gaussian_kl_isotropic_formula():
     from specprec.spiked import FactoredCovariance
     p = FactoredCovariance(basis_u=np.zeros((n, 0)), diag_d=np.zeros(0), iso=a)
     q = LowRankPrecision(basis_a=np.zeros((n, 0)), diag_d=np.zeros(0), c=b,
-                         mean=np.zeros(n), orthonormal=True)
+                         mean=np.zeros(n))
     want = 0.5 * n * (a * b - 1.0 - np.log(a * b))
     assert gaussian_kl(p, q) == pytest.approx(want, rel=1e-12)
 
@@ -245,7 +245,7 @@ def test_gaussian_kl_refuses_non_finite_inputs():
         gaussian_kl(p, nan_basis)
     # max(kl, 0.0) returns NaN for a NaN kl, so kl itself must be checked
     iso = LowRankPrecision(basis_a=np.zeros((n, 0)), diag_d=np.zeros(0), c=1.0,
-                           mean=np.zeros(n), orthonormal=True)
+                           mean=np.zeros(n))
     with pytest.raises(NumericError):
         gaussian_kl(p, iso, p_mean=np.array([np.nan, 0.0, 0.0]))
 
