@@ -62,7 +62,7 @@ def _prepare(args):
     mean, scale = data.mean, np.ones(data.n_vars)
     if args.standardize:
         scale, _ = dataset.row_scale(data)
-        data = dataset.center(dataset.standardize(data))
+        data = dataset.standardize(data)
     return data, mean, scale
 
 
@@ -219,18 +219,17 @@ def cmd_bench(args) -> int:
     if args.repeats < 1:
         raise UsageError("bench needs --repeats of at least 1", repeats=args.repeats)
     rng = np.random.default_rng(args.seed)
-    rows = []
-    for n in n_grid:
-        raw = dataset._adopt(values=rng.standard_normal((n, args.t)))
-        best = np.inf
-        for _ in range(args.repeats):
+    raws = [dataset._adopt(values=rng.standard_normal((n, args.t))) for n in n_grid]
+    # round-robin, so that a host whose speed drifts reaches every size alike
+    best, ranks = [np.inf] * len(n_grid), [0] * len(n_grid)
+    for _ in range(args.repeats):
+        for i, raw in enumerate(raws):
             t0 = time.perf_counter()
-            centered = dataset.center(raw)
-            basis = spectral.thin_svd(centered)
+            basis = spectral.thin_svd(dataset.center(raw))
             spectral.riccati_fit(basis, args.rho)
-            best = min(best, time.perf_counter() - t0)
-        peak_bytes = 8 * n * (basis.rank + 2)
-        rows.append((n, args.t, best, peak_bytes))
+            best[i] = min(best[i], time.perf_counter() - t0)
+            ranks[i] = basis.rank
+    rows = [(n, args.t, best[i], 8 * n * (ranks[i] + 2)) for i, n in enumerate(n_grid)]
     _write_csv_rows(args.output, ("n", "t", "fit_seconds", "peak_factor_bytes"),
                     rows)
     return 0
@@ -301,7 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="results CSV")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("bench", help="fit-time scaling over a size grid")
+    about = ("fit-time scaling over a size grid, timed round-robin; every input is held "
+             "at once (8*T*sum(N) bytes, 31.5 MB by default)")
+    p = sub.add_parser("bench", help=about, description=about)
     p.add_argument("--t", type=int, default=64)
     p.add_argument("--n-grid", default="4096,8192,16384,32768")
     p.add_argument("--rho", type=float, default=1.0)

@@ -444,11 +444,11 @@ def important_edges(model: LowRankPrecision, epsilon: float, max_edges: int,
     return edges[:max_edges]
 
 
-def materialize_dense(model: LowRankPrecision, guard: int = DENSE_GUARD) -> np.ndarray:
-    """Explicit N x N matrix; test/inspection support only, refuses large N."""
+def materialize_dense(model: LowRankPrecision) -> np.ndarray:
+    """Explicit N x N matrix; test/inspection support only, refuses N > DENSE_GUARD."""
     n = model.n_vars
-    if n > guard:
-        raise UsageError("refusing to materialize a large model", n=n, guard=guard)
+    if n > DENSE_GUARD:
+        raise UsageError("refusing to materialize a large model", n=n, guard=DENSE_GUARD)
     a = _dense(model.basis_a)
     return (a * model.diag_d[None, :]) @ a.T + model.c * np.eye(n)
 

@@ -18,6 +18,10 @@ mu <= (1 + kappa) w and s^2 >= 1 / (1 + kappa).  Then
 ||s^2 Q - P||_2 <= s^2 ||Q - P||_2 + (1 - s^2) ||P||_2 <= w (1 - s^2 (1 - kappa)),
 which is at most kappa w when kappa >= 1 (lambda >= sqrt(2) - 1), as s^2 <= 1.
 A rescaled basis with kappa < 1 has only 2 kappa / (1 + kappa) w proven.
+Search result, not a proof: an adversarial hill-climb over orthonormal U,
+d in (-w, 0) and lambda in (0.01, 0.414), 3 seeds x 300 restarts x 300 steps
+over N 2-12 and r <= 6 (80% hard mode), found no gap above kappa w; the
+worst was 0.561 kappa w (N = 3, r = 2, hard, lambda = 0.127).
 ``SparsifyReport`` checks kappa w whenever N is small enough to measure it.
 """
 

@@ -148,6 +148,47 @@ def test_fit_standardize_scores_rho_on_standardized_validation(tmp_path):
     assert json.loads(report_path.read_text())["rho"] == rho
 
 
+def test_fit_standardize_writes_a_zero_mean(tmp_path):
+    rc = main(["fit", "--input", SMALL, "--rho", "0.5", "--standardize",
+               "--output", str(tmp_path / "m.json")])
+    assert rc == 0
+    mean = json.loads((tmp_path / "m.json").read_text())["mean"]
+    assert mean == [0.0] * len(mean)
+
+
+def test_fit_standardize_keeps_a_constant_row_with_inexact_mean(tmp_path):
+    from specprec import DataMatrix, write_csv
+
+    x = np.random.default_rng(7).standard_normal((50, 10))
+    x[7] = 0.3  # its mean does not round-trip, so it centres to noise
+    write_csv(DataMatrix(values=x), tmp_path / "x.csv")
+    for extra in ([], ["--standardize"]):
+        report = tmp_path / "r.json"
+        rc = main(["fit", "--input", str(tmp_path / "x.csv"), "--rho", "0.5",
+                   "--output", str(tmp_path / "m.json"), "--report", str(report)] + extra)
+        assert rc == 0
+    assert json.loads(report.read_text())["zero_variance_vars"] == [7]
+
+
+def test_standardize_transform_peak_is_two_copies(monkeypatch):
+    import argparse
+    import tracemalloc
+
+    from specprec import DataMatrix, cli
+
+    raw = DataMatrix(values=np.random.default_rng(0).standard_normal((1 << 16, 64)))
+    monkeypatch.setattr(cli, "_load", lambda args, path: raw)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        data, _, _ = cli._prepare(argparse.Namespace(input=None, standardize=True))
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert not data.mean.any()
+    assert peak <= 2.25 * raw.values.nbytes
+
+
 def test_fit_grid_without_val_is_usage_error(tmp_path, capsys):
     rc = main(["fit", "--input", SMALL, "--output", str(tmp_path / "m.json")])
     assert rc == EXIT_USAGE

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from specprec import (DataError, DataMatrix, UsageError, center, load_csv,
                       split, standardize, write_csv)
+from specprec.dataset import row_scale
 
 
 def test_load_zero_matrix(tmp_path):
@@ -13,7 +14,7 @@ def test_load_zero_matrix(tmp_path):
     d = load_csv(path)
     assert d.n_vars == 3 and d.n_samples == 2
     assert not d.values.any()
-    assert d.mean is None and not d.standardized
+    assert d.mean is None
 
 
 def test_orientation_symmetry(tmp_path):
@@ -131,13 +132,48 @@ def test_constructor_and_center_peaks_are_one_copy(rng):
 def test_standardize_examples():
     d = standardize(center(DataMatrix(values=[[1.0, 3.0], [0.0, 4.0]])))
     np.testing.assert_allclose(d.values, [[-1.0, 1.0], [-1.0, 1.0]])
-    assert d.standardized and d.zero_variance == ()
+    assert not d.mean.any() and d.zero_variance == ()
 
 
 def test_standardize_constant_row_flagged():
     d = standardize(center(DataMatrix(values=[[5.0, 5.0, 5.0], [1.0, 2.0, 3.0]])))
     np.testing.assert_array_equal(d.values[0], [0.0, 0.0, 0.0])
     assert d.zero_variance == (0,)
+
+
+@pytest.mark.parametrize("value,t", [(0.3, 10), (0.1, 3)])
+def test_constant_row_with_inexact_mean_is_flagged(value, t):
+    centred = center(DataMatrix(values=[[value] * t, np.arange(float(t))]))
+    assert centred.values[0].any()  # the mean does not round-trip
+    scale, flagged = row_scale(centred)
+    assert flagged == (0,) and scale[0] == 1.0
+    d = standardize(centred)
+    np.testing.assert_array_equal(d.values[0], centred.values[0])
+    assert d.zero_variance == (0,)
+
+
+def test_standardized_flag_is_gone():
+    with pytest.raises(TypeError):
+        DataMatrix(values=[[1.0, 2.0]], standardized=True)
+
+
+def test_standardize_output_is_fit_ready(rng):
+    from specprec import average_log_likelihood, riccati_fit, thin_svd
+
+    x = rng.uniform(2.0, 12.0, (400, 1)) + rng.lognormal(0.0, 0.5, (400, 1)) \
+        * rng.standard_normal((400, 50))
+    train, val = x[:, :40], x[:, 40:]
+    centred = center(DataMatrix(values=train))
+    z = standardize(centred)
+    basis = thin_svd(z)
+    assert not basis.mean.any()
+    recentred = thin_svd(center(z))
+    scale, _ = row_scale(centred)
+    z_val = (val - centred.mean[:, None]) / scale[:, None]
+    for rho in (0.1, 1.0):
+        got = average_log_likelihood(riccati_fit(basis, rho), z_val)
+        want = average_log_likelihood(riccati_fit(recentred, rho), z_val)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_standardize_requires_centered():

@@ -504,9 +504,11 @@ def test_materialize_examples():
 
 
 def test_materialize_guard(rng):
-    m = iso_model(10)
+    from specprec.model import DENSE_GUARD
+
+    materialize_dense(iso_model(4))
     with pytest.raises(UsageError):
-        materialize_dense(m, guard=5)
+        materialize_dense(iso_model(DENSE_GUARD + 1))
 
 
 def test_save_load_roundtrip(tmp_path, rng):
