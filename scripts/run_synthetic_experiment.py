@@ -20,6 +20,8 @@ import tempfile
 from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
+
 from specprec.cli import main as cli_main
 
 DEFAULT_SCENARIO = {
@@ -29,6 +31,9 @@ DEFAULT_SCENARIO = {
     "density": 0.2,  # K * ceil(density * N) disjoint supports must fit in N
     "t_train": 19,  # ceil(3 ln 500)
     "t_val": 19,
+    # 20 log-spaced points over 1e-7..1e-2: the Riccati optimum sits near
+    # (beta/N)^2 = 4e-6, below ScenarioConfig's default grid of 1e-3..10
+    "rho_grid": np.logspace(-7, -2, 20).tolist(),
     "repetitions": 20,
     "root_seed": 0,
 }
@@ -42,16 +47,13 @@ def main(argv=None):
                         help="raw per-repetition results CSV")
     args = parser.parse_args(argv)
 
-    if args.scenario is None:
-        tmp = tempfile.NamedTemporaryFile("w", suffix=".json", delete=False)
-        json.dump(DEFAULT_SCENARIO, tmp)
-        tmp.close()
-        scenario_path = tmp.name
-    else:
-        scenario_path = str(args.scenario)
-
-    rc = cli_main(["simulate", "--scenario", scenario_path,
-                   "--output", str(args.output)])
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario_path = args.scenario
+        if scenario_path is None:
+            scenario_path = Path(tmp) / "scenario.json"
+            scenario_path.write_text(json.dumps(DEFAULT_SCENARIO), encoding="utf-8")
+        rc = cli_main(["simulate", "--scenario", str(scenario_path),
+                       "--output", str(args.output)])
     if rc != 0:
         return rc
 

@@ -1,7 +1,7 @@
 """Command-line surface: fit / eval / path / sparsify / screen / simulate / bench.
 
-Exit codes are stable: 0 success, 2 usage error, 3 data error, 4 numeric
-error.  Failures emit a machine-parsable JSON object on stderr.  All
+Exit codes are stable: 0 success, 2 usage error, 3 data error (a file
+that cannot be read, parsed or written included), 4 numeric error.  Failures emit a machine-parsable JSON object on stderr.  All
 commands are deterministic given their flags and seed.  The BLAS thread
 count follows the environment (OPENBLAS_NUM_THREADS / OMP_NUM_THREADS);
 set it to 1 where runs must repeat bit for bit.
@@ -56,14 +56,33 @@ def _load(args, path) -> dataset.DataMatrix:
 
 
 def _prepare(args):
-    """Training data ready for the SVD, and the training mean and scale that
-    put validation columns on the same footing: (x - mean) / scale."""
+    """Training data ready for the SVD, the training mean and scale that put
+    validation columns on its footing, (x - mean) / scale, and its constant rows."""
     data = dataset.center(_load(args, args.input))
-    mean, scale = data.mean, np.ones(data.n_vars)
-    if args.standardize:
-        scale, _ = dataset.row_scale(data)
-        data = dataset.standardize(data)
-    return data, mean, scale
+    scale, flagged = dataset.row_scale(data)
+    if not args.standardize:
+        return data, data.mean, np.ones(data.n_vars), flagged
+    return dataset._scaled(data, scale), data.mean, scale, flagged
+
+
+def _path(args, grid):
+    """The training data's regularization path over ``grid``, the index of its
+    entry with the best --val score (0 without --val), every entry's score
+    (NaN without --val) and the training data's constant rows.  The grid is
+    checked before any file is read."""
+    spectral._require_rho(grid)
+    data, mean, scale, flagged = _prepare(args)
+    path = spectral.solution_path(spectral.thin_svd(data), grid, args.method)
+    if args.val is None:
+        return path, 0, np.full(len(path), np.nan), flagged
+    val = _load(args, args.val)
+    if val.n_vars != mean.size:
+        raise DataError("validation data dimension mismatch",
+                        expected=mean.size, got=val.n_vars)
+    z = val.values - mean[:, None]
+    z /= scale[:, None]
+    rho, table = spectral.select_rho_by_validation(path, dataset._adopt(values=z))
+    return path, int(np.flatnonzero(path.rhos == rho)[0]), table[:, 1], flagged
 
 
 def _write_csv_rows(path, header, rows):
@@ -74,32 +93,16 @@ def _write_csv_rows(path, header, rows):
             writer.writerow(row)
 
 
-def _centered_validation(args, mean, scale):
-    val = _load(args, args.val)
-    if val.n_vars != mean.size:
-        raise DataError("validation data dimension mismatch",
-                        expected=mean.size, got=val.n_vars)
-    z = val.values - mean[:, None]
-    z /= scale[:, None]
-    return dataset._adopt(values=z)
-
-
 def cmd_fit(args) -> int:
     t0 = time.perf_counter()
     if args.rho is not None and args.val is not None:
         raise UsageError("--val selects rho from --rho-grid; it cannot be used with --rho")
-    data, mean, scale = _prepare(args)
-    basis = spectral.thin_svd(data)
-    grid = [args.rho] if args.rho is not None else parse_rho_grid(args.rho_grid)
     if args.rho is None and args.val is None:
         raise UsageError("--rho-grid needs --val to select rho")
+    grid = [args.rho] if args.rho is not None else parse_rho_grid(args.rho_grid)
     # a fit is the entry of its path at the selected rho
-    path = spectral.solution_path(basis, grid, args.method)
-    best = 0
-    if args.val is not None:
-        rho, _ = spectral.select_rho_by_validation(
-            path, _centered_validation(args, mean, scale))
-        best = int(np.flatnonzero(path.rhos == rho)[0])
+    path, best, _, flagged = _path(args, grid)
+    basis = path.basis
     fitted, rho = path.model_at(best), float(path.rhos[best])
     model_mod.save_model(fitted, args.output, rho=rho)
     wall = time.perf_counter() - t0
@@ -112,7 +115,7 @@ def cmd_fit(args) -> int:
         "rho_selected_by_validation": args.val is not None,
         "alpha": fitted.bounds.alpha,
         "beta": fitted.bounds.beta,
-        "zero_variance_vars": list(data.zero_variance),
+        "zero_variance_vars": list(flagged),
         "wall_time_s": wall,
         "peak_factor_bytes_estimate": 8 * basis.n_vars * (basis.rank + 2),
     }
@@ -120,8 +123,8 @@ def cmd_fit(args) -> int:
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
-    if data.zero_variance:
-        print(f"warning: {len(data.zero_variance)} zero-variance variables",
+    if flagged:
+        print(f"warning: {len(flagged)} zero-variance variables",
               file=sys.stderr)
     return 0
 
@@ -156,19 +159,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_path(args) -> int:
-    data, mean, scale = _prepare(args)
-    basis = spectral.thin_svd(data)
-    grid = parse_rho_grid(args.rho_grid)
-    path = spectral.solution_path(basis, grid, args.method)
-    if args.val is not None:
-        _, table = spectral.select_rho_by_validation(
-            path, _centered_validation(args, mean, scale))
-        scores = table[:, 1]
-    else:
-        scores = [float("nan")] * len(path)
+    path, _, scores, _ = _path(args, parse_rho_grid(args.rho_grid))
     rows = []
     for i in range(len(path)):
-        b = spectral.eigen_bounds(basis.spec_norm_cov, float(path.rhos[i]),
+        b = spectral.eigen_bounds(path.basis.spec_norm_cov, float(path.rhos[i]),
                                   args.method)
         rows.append((path.rhos[i], b.alpha, b.beta, scores[i]))
     _write_csv_rows(args.output, ("rho", "alpha", "beta", "val_score"), rows)
@@ -340,7 +334,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         _emit_error(EXIT_USAGE, exc)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or unwritable file
         _emit_error(EXIT_DATA, DataError(str(exc)))
         return EXIT_DATA
     except DataError as exc:

@@ -20,7 +20,7 @@ __all__ = ["DataMatrix", "load_csv", "write_csv", "center", "row_scale", "standa
 
 _FLOAT_FMT = "%.17g"
 # the characters of a finite value formatted with _FLOAT_FMT and of csv
-# quoting; write_csv refuses them as delimiters
+# quoting; load_csv and write_csv refuse them as delimiters
 _FIELD_CHARS = frozenset("0123456789+-.e\"\r\n")
 _WRITE_BLOCK = 1 << 16  # values formatted per write
 
@@ -30,14 +30,12 @@ class DataMatrix:
     """Immutable N x T matrix (variables as rows) plus centering metadata.
 
     ``mean`` is present iff the rows have been centered: the subtracted mean
-    after ``center``, zeros after ``standardize``; ``zero_variance`` lists rows
-    that ``standardize`` left unscaled because their sample variance is zero.
+    after ``center``, zeros after ``standardize``.
     """
 
     values: np.ndarray
     mean: np.ndarray | None = None
     variable_names: tuple[str, ...] | None = None
-    zero_variance: tuple[int, ...] = ()
 
     def __post_init__(self):
         self._validate(copy=True)
@@ -96,30 +94,33 @@ def load_csv(path, delimiter: str = ",", has_header: bool = False,
 
     ``orientation`` selects whether file rows are variables or samples; the
     result is always variable-major.  With ``samples-as-rows`` a header row
-    supplies the variable names.
+    supplies the variable names.  The delimiter rule is ``write_csv``'s, and a
+    file that is not UTF-8 text is a DataError.
     """
-    if orientation not in ("variables-as-rows", "samples-as-rows"):
-        raise UsageError("unknown orientation", orientation=orientation)
+    _check_io_flags(delimiter, orientation)
     rows = []
     names = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
-        for i, record in enumerate(reader):
-            if i == 0 and has_header:
-                if orientation == "samples-as-rows":
-                    names = tuple(record)
-                continue
-            parsed = []
-            for j, cell in enumerate(record):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise DataError("cell does not parse as a number",
-                                    row=i, col=j, cell=cell) from None
-                if not np.isfinite(v):
-                    raise DataError("non-finite value in data", row=i, col=j, cell=cell)
-                parsed.append(v)
-            rows.append(parsed)
+        try:
+            for i, record in enumerate(reader):
+                if i == 0 and has_header:
+                    if orientation == "samples-as-rows":
+                        names = tuple(record)
+                    continue
+                parsed = []
+                for j, cell in enumerate(record):
+                    try:
+                        v = float(cell)
+                    except ValueError:
+                        raise DataError("cell does not parse as a number",
+                                        row=i, col=j, cell=cell) from None
+                    if not np.isfinite(v):
+                        raise DataError("non-finite value in data", row=i, col=j, cell=cell)
+                    parsed.append(v)
+                rows.append(parsed)
+        except UnicodeDecodeError as exc:
+            raise DataError("file is not UTF-8 text", path=str(path), detail=str(exc)) from None
     if not rows:
         raise DataError("empty file", path=str(path))
     width = len(rows[0])
@@ -142,11 +143,7 @@ def write_csv(data: DataMatrix, path, delimiter: str = ",",
     break is refused.  Rows are formatted a block at a time with one line
     template; only the header goes through ``csv.writer``.
     """
-    if orientation not in ("variables-as-rows", "samples-as-rows"):
-        raise UsageError("unknown orientation", orientation=orientation)
-    if not isinstance(delimiter, str) or len(delimiter) != 1 or delimiter in _FIELD_CHARS:
-        raise UsageError("delimiter must be one character that cannot occur in a "
-                         "formatted value", delimiter=delimiter)
+    _check_io_flags(delimiter, orientation)
     mat = data.values if orientation == "variables-as-rows" else data.values.T
     line = delimiter.replace("%", "%%").join([_FLOAT_FMT] * mat.shape[1]) + "\r\n"
     step = max(1, _WRITE_BLOCK // mat.shape[1])
@@ -155,6 +152,14 @@ def write_csv(data: DataMatrix, path, delimiter: str = ",",
             csv.writer(fh, delimiter=delimiter).writerow(data.variable_names)
         for lo in range(0, mat.shape[0], step):
             fh.write("".join([line % tuple(row) for row in mat[lo:lo + step].tolist()]))
+
+
+def _check_io_flags(delimiter, orientation) -> None:
+    if orientation not in ("variables-as-rows", "samples-as-rows"):
+        raise UsageError("unknown orientation", orientation=orientation)
+    if not isinstance(delimiter, str) or len(delimiter) != 1 or delimiter in _FIELD_CHARS:
+        raise UsageError("delimiter must be one character that cannot occur in a "
+                         "formatted value", delimiter=delimiter)
 
 
 def _adopt(**fields) -> DataMatrix:
@@ -174,8 +179,7 @@ def center(data: DataMatrix) -> DataMatrix:
     mu = data.values.mean(axis=1)
     return _adopt(values=np.subtract(data.values, mu[:, None], order="C"),
                   mean=mu,
-                  variable_names=data.variable_names,
-                  zero_variance=data.zero_variance)
+                  variable_names=data.variable_names)
 
 
 def row_scale(data: DataMatrix) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -194,13 +198,15 @@ def row_scale(data: DataMatrix) -> tuple[np.ndarray, tuple[int, ...]]:
 def standardize(data: DataMatrix) -> DataMatrix:
     """Scale centered rows to unit variance (divide-by-T convention), ready for
     ``thin_svd``: the result's ``mean`` is zero, the mean of the scaled rows.
-    Zero-variance rows are left unscaled and reported in ``zero_variance``.
+    Zero-variance rows are left unscaled; ``row_scale`` names them.
     """
-    scale, flagged = row_scale(data)
-    return _adopt(values=data.values / scale[:, None],
-                  mean=np.zeros(data.n_vars),
-                  variable_names=data.variable_names,
-                  zero_variance=flagged)
+    return _scaled(data, row_scale(data)[0])
+
+
+def _scaled(data: DataMatrix, scale: np.ndarray) -> DataMatrix:
+    """Centered rows divided by ``scale``, in one copy, with a zero mean."""
+    return _adopt(values=data.values / scale[:, None], mean=np.zeros(data.n_vars),
+                  variable_names=data.variable_names)
 
 
 def split(data: DataMatrix, fractions: tuple[float, float, float],

@@ -366,6 +366,11 @@ def partial_correlation(model: LowRankPrecision, n1: int, n2: int) -> float:
     return off / np.sqrt(d1 * d2)
 
 
+def _require_epsilon(epsilon) -> None:
+    if not 0.0 < epsilon < np.inf:  # written so that NaN fails it
+        raise UsageError("epsilon must be positive and finite", epsilon=epsilon)
+
+
 def screen_unimportant(model: LowRankPrecision, epsilon: float):
     """Detect variables whose every partial correlation magnitude is <= epsilon.
 
@@ -376,8 +381,7 @@ def screen_unimportant(model: LowRankPrecision, epsilon: float):
     so {n : q(n) <= epsilon} is a sound unimportant set.
     """
     model._require_pd("screen_unimportant")
-    if epsilon <= 0:
-        raise UsageError("epsilon must be positive", epsilon=epsilon)
+    _require_epsilon(epsilon)
     a = model.basis_a
     n, r = a.shape
     if r == 0:
@@ -415,6 +419,7 @@ def important_edges(model: LowRankPrecision, epsilon: float, max_edges: int,
     must be integer indices in [0, N), and are sorted and de-duplicated.
     """
     model._require_pd("important_edges")
+    _require_epsilon(epsilon)
     if max_edges < 0:
         raise UsageError("max_edges must be nonnegative", max_edges=max_edges)
     if candidates is None:

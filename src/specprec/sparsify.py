@@ -88,8 +88,8 @@ def _threshold(u, lam: float, mode: str):
     is bit for bit the one it would compute from the returned CSR.  A hard
     threshold of 0 keeps only the nonzeros, since CSR stores no zeros.
     """
-    if not lam >= 0:
-        raise UsageError("lambda must be nonnegative", lam=lam)
+    if not 0.0 <= lam < np.inf:  # written so that NaN fails it
+        raise UsageError("lambda must be nonnegative and finite", lam=lam)
     if mode not in ("soft", "hard"):
         raise UsageError("mode must be 'soft' or 'hard'", mode=mode)
     import scipy.sparse as sp

@@ -14,9 +14,10 @@ import numpy as np
 
 from .dataset import DataMatrix, _adopt
 from .errors import NumericError, UsageError
-from .model import (_ROW_BLOCK, DENSE_GUARD, EigenBounds, LowRankPrecision, _dense,
+from .model import (_ROW_BLOCK, DENSE_GUARD, LowRankPrecision, _dense,
                     _mean_quadratic_form, _require_orthonormal, _spectrum_logdet,
                     _with_gram)
+from .spectral import _tikhonov_diag, eigen_bounds
 
 __all__ = [
     "SpikedModel",
@@ -178,12 +179,12 @@ def true_precision(model: SpikedModel) -> LowRankPrecision:
     n = model.n_vars
     rho = model.beta / n
     d = model.diag_d
-    diag = -d / (rho * (d + rho))
-    bounds = EigenBounds(alpha=1.0 / ((d.max() if d.size else 0.0) + rho),
-                         beta=1.0 / rho)
+    # the inverse of a ridge covariance is Tikhonov's map of its spectrum
+    diag, c = _tikhonov_diag(d, rho)
+    bounds = eigen_bounds(d.max() if d.size else 0.0, rho, "tikhonov")
     # SpikedModel has proven its basis orthonormal
     return _with_gram(LowRankPrecision, np.eye(d.size), basis_a=model.basis_u, diag_d=diag,
-                      c=1.0 / rho, mean=np.zeros(n), bounds=bounds)
+                      c=c, mean=np.zeros(n), bounds=bounds)
 
 
 def true_precision_frob(model: SpikedModel) -> float:

@@ -167,7 +167,7 @@ def test_fit_standardize_keeps_a_constant_row_with_inexact_mean(tmp_path):
         rc = main(["fit", "--input", str(tmp_path / "x.csv"), "--rho", "0.5",
                    "--output", str(tmp_path / "m.json"), "--report", str(report)] + extra)
         assert rc == 0
-    assert json.loads(report.read_text())["zero_variance_vars"] == [7]
+        assert json.loads(report.read_text())["zero_variance_vars"] == [7]
 
 
 def test_standardize_transform_peak_is_two_copies(monkeypatch):
@@ -181,12 +181,60 @@ def test_standardize_transform_peak_is_two_copies(monkeypatch):
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        data, _, _ = cli._prepare(argparse.Namespace(input=None, standardize=True))
+        data, _, _, _ = cli._prepare(argparse.Namespace(input=None, standardize=True))
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
     assert not data.mean.any()
     assert peak <= 2.25 * raw.values.nbytes
+
+
+@pytest.mark.parametrize("command", ["fit", "path"])
+@pytest.mark.parametrize("standardize", [[], ["--standardize"]])
+def test_training_statistics_are_read_once(tmp_path, monkeypatch, command, standardize):
+    from specprec import dataset
+
+    calls = []
+    row_scale = dataset.row_scale
+    monkeypatch.setattr(dataset, "row_scale", lambda d: calls.append(d) or row_scale(d))
+    rc = main([command, "--input", SMALL, "--val", SMALL_VAL, "--rho-grid", "0.1:1:log:3",
+               "--output", str(tmp_path / "out")] + standardize)
+    assert rc == 0 and len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["fit", "path"])
+@pytest.mark.parametrize("argv", [["--rho-grid", "bad"], ["--rho-grid", "nan:1:log:5"],
+                                  ["--rho-grid", "0.1:inf:log:5"], ["--rho-grid", "1:2:log:0"]])
+def test_bad_grid_is_refused_before_any_read(tmp_path, capsys, command, argv):
+    missing = str(tmp_path / "missing.csv")
+    rc = main([command, "--input", missing, "--val", missing,
+               "--output", str(tmp_path / "out")] + argv)
+    assert rc == EXIT_USAGE
+    assert json.loads(capsys.readouterr().err)["code"] == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [["--rho", "nan"], ["--rho", "inf"], ["--rho", "-1"],
+                                  ["--rho", "1", "--val", "x.csv"], []])
+def test_fit_usage_is_checked_before_any_read(tmp_path, capsys, argv):
+    rc = main(["fit", "--input", str(tmp_path / "missing.csv"),
+               "--output", str(tmp_path / "m.json")] + argv)
+    assert rc == EXIT_USAGE
+    assert json.loads(capsys.readouterr().err)["code"] == EXIT_USAGE
+
+
+@pytest.mark.parametrize("standardize", [[], ["--standardize"]])
+def test_path_best_row_is_the_fit_rho(tmp_path, standardize):
+    grid = ["--rho-grid", "0.01:100:log:9", "--val", SMALL_VAL] + standardize
+    assert main(["path", "--input", SMALL, "--output", str(tmp_path / "p.csv")] + grid) == 0
+    report = tmp_path / "r.json"
+    assert main(["fit", "--input", SMALL, "--output", str(tmp_path / "m.json"),
+                 "--report", str(report)] + grid) == 0
+    rows = [[float(v) for v in r] for r in read_csv_rows(str(tmp_path / "p.csv"))[1:]]
+    scores = [r[3] for r in rows]
+    assert len(set(scores)) > 1
+    # ties break toward the larger rho
+    best = max(range(len(rows)), key=lambda i: (scores[i], rows[i][0]))
+    assert json.loads(report.read_text())["rho"] == rows[best][0]
 
 
 def test_fit_grid_without_val_is_usage_error(tmp_path, capsys):
@@ -453,17 +501,30 @@ def test_out_of_range_counts_are_usage_errors(tmp_path, capsys):
 
 def test_synthetic_experiment_script_default_scenario(tmp_path, monkeypatch, capsys):
     import importlib.util
+    import tempfile
 
     script = Path(__file__).parent.parent / "scripts" / "run_synthetic_experiment.py"
     spec = importlib.util.spec_from_file_location("run_synthetic_experiment", script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     monkeypatch.setitem(module.DEFAULT_SCENARIO, "repetitions", 2)
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
     out = tmp_path / "results.csv"
     assert module.main(["--output", str(out)]) == 0
+    assert list(scratch.iterdir()) == []  # no scenario file is left behind
     rows = read_csv_rows(out)
     assert len(rows) == 1 + 2 * 3
     assert "riccati" in capsys.readouterr().out
+    # the grid reaches the Riccati optimum near (beta/N)^2, so no choice is an edge
+    grid = module.DEFAULT_SCENARIO["rho_grid"]
+    kl = {}
+    for _, method, rho, value, _ in rows[1:]:
+        kl.setdefault(method, []).append(float(value))
+        if method == "riccati":
+            assert grid[0] < float(rho) < grid[-1]
+    assert np.mean(kl["riccati"]) < np.mean(kl["isotropic"])
 
 
 def test_bench_small_grid(tmp_path):
@@ -485,6 +546,48 @@ def test_missing_input_file_is_data_error(tmp_path, capsys):
     assert rc == EXIT_DATA
     err = json.loads(capsys.readouterr().err)
     assert err["code"] == EXIT_DATA
+
+
+def _one_line_error(capsys):
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])["code"]
+
+
+@pytest.mark.parametrize("delimiter", [",,", "", "."])
+def test_bad_delimiter_is_usage_error(tmp_path, capsys, delimiter):
+    rc = main(["fit", "--input", SMALL, "--rho", "1.0", "--delimiter", delimiter,
+               "--output", str(tmp_path / "m.json")])
+    assert rc == EXIT_USAGE and _one_line_error(capsys) == EXIT_USAGE
+
+
+def test_directory_input_and_output_are_data_errors(tmp_path, capsys):
+    rc = main(["fit", "--input", str(tmp_path), "--rho", "1.0",
+               "--output", str(tmp_path / "m.json")])
+    assert rc == EXIT_DATA and _one_line_error(capsys) == EXIT_DATA
+    rc = main(["fit", "--input", SMALL, "--rho", "1.0", "--output", str(tmp_path)])
+    assert rc == EXIT_DATA and _one_line_error(capsys) == EXIT_DATA
+
+
+def test_non_utf8_csv_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes("1,2\n3,4\n\u00e9,5\n".encode("latin-1"))
+    rc = main(["fit", "--input", str(bad), "--rho", "1.0",
+               "--output", str(tmp_path / "m.json")])
+    assert rc == EXIT_DATA and _one_line_error(capsys) == EXIT_DATA
+
+
+def test_non_finite_thresholds_are_usage_errors(tmp_path, capsys):
+    model = str(tmp_path / "m.json")
+    assert main(["fit", "--input", SMALL, "--rho", "0.5", "--output", model]) == 0
+    rc = main(["screen", "--model", model, "--epsilon", "nan",
+               "--unimportant-out", str(tmp_path / "u.txt"),
+               "--edges-out", str(tmp_path / "e.csv")])
+    assert rc == EXIT_USAGE and _one_line_error(capsys) == EXIT_USAGE
+    rc = main(["sparsify", "--model", model, "--lambda", "inf",
+               "--output", str(tmp_path / "s.json"), "--report", str(tmp_path / "r.json")])
+    assert rc == EXIT_USAGE and _one_line_error(capsys) == EXIT_USAGE
+    assert not (tmp_path / "s.json").exists() and not (tmp_path / "r.json").exists()
 
 
 def test_bad_rho_grid_is_usage_error(tmp_path, capsys):

@@ -130,15 +130,17 @@ def test_constructor_and_center_peaks_are_one_copy(rng):
 
 
 def test_standardize_examples():
-    d = standardize(center(DataMatrix(values=[[1.0, 3.0], [0.0, 4.0]])))
+    centred = center(DataMatrix(values=[[1.0, 3.0], [0.0, 4.0]]))
+    d = standardize(centred)
     np.testing.assert_allclose(d.values, [[-1.0, 1.0], [-1.0, 1.0]])
-    assert not d.mean.any() and d.zero_variance == ()
+    assert not d.mean.any() and row_scale(centred)[1] == ()
 
 
 def test_standardize_constant_row_flagged():
-    d = standardize(center(DataMatrix(values=[[5.0, 5.0, 5.0], [1.0, 2.0, 3.0]])))
+    centred = center(DataMatrix(values=[[5.0, 5.0, 5.0], [1.0, 2.0, 3.0]]))
+    d = standardize(centred)
     np.testing.assert_array_equal(d.values[0], [0.0, 0.0, 0.0])
-    assert d.zero_variance == (0,)
+    assert row_scale(centred)[1] == (0,)
 
 
 @pytest.mark.parametrize("value,t", [(0.3, 10), (0.1, 3)])
@@ -149,12 +151,13 @@ def test_constant_row_with_inexact_mean_is_flagged(value, t):
     assert flagged == (0,) and scale[0] == 1.0
     d = standardize(centred)
     np.testing.assert_array_equal(d.values[0], centred.values[0])
-    assert d.zero_variance == (0,)
 
 
-def test_standardized_flag_is_gone():
+@pytest.mark.parametrize("field,value", [("standardized", True), ("zero_variance", (0,))],
+                         ids=["standardized", "zero_variance"])
+def test_standardized_flag_is_gone(field, value):
     with pytest.raises(TypeError):
-        DataMatrix(values=[[1.0, 2.0]], standardized=True)
+        DataMatrix(values=[[1.0, 2.0]], **{field: value})
 
 
 def test_standardize_output_is_fit_ready(rng):

@@ -480,6 +480,15 @@ def test_important_edges_validates_candidates(rng):
         important_edges(m, 1e-6, -1)
 
 
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf, 0.0, -1.0])
+def test_non_finite_or_nonpositive_epsilon_is_refused(rng, epsilon):
+    m = random_orthonormal_model(rng, 20, 3)
+    with pytest.raises(UsageError):
+        screen_unimportant(m, epsilon)
+    with pytest.raises(UsageError):  # given candidates skip the screen
+        important_edges(m, epsilon, 10, candidates=np.arange(20))
+
+
 def test_important_edges_empty_for_isotropic():
     assert important_edges(iso_model(5), 0.1, 10) == []
 

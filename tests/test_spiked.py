@@ -159,6 +159,19 @@ def test_true_precision_inverts_covariance():
                                atol=1e-12)
 
 
+@pytest.mark.parametrize("m", [random_spiked(40, 3, 1.5, 0.2, seed=11),
+                               SpikedModel(basis_u=np.zeros((4, 0)), diag_d=np.zeros(0),
+                                           beta=2.0, seed=0)], ids=["k3", "k0"])
+def test_true_precision_is_tikhonov_map_bit_for_bit(m):
+    # the ridge inverse U diag(-d / (rho (d + rho))) U^T + I / rho, written out
+    rho, d = m.beta / m.n_vars, m.diag_d
+    prec = true_precision(m)
+    assert np.array_equal(prec.diag_d, -d / (rho * (d + rho)))
+    assert prec.c == 1.0 / rho
+    assert prec.bounds.alpha == 1.0 / ((d.max() if d.size else 0.0) + rho)
+    assert prec.bounds.beta == 1.0 / rho
+
+
 def test_true_precision_frob():
     m = random_spiked(30, 2, 1.0, 0.3, seed=4)
     want = np.linalg.norm(materialize_dense(true_precision(m)))
