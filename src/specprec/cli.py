@@ -81,8 +81,8 @@ def _path(args, grid):
                         expected=mean.size, got=val.n_vars)
     z = val.values - mean[:, None]
     z /= scale[:, None]
-    rho, table = spectral.select_rho_by_validation(path, dataset._adopt(values=z))
-    return path, int(np.flatnonzero(path.rhos == rho)[0]), table[:, 1], flagged
+    best, scores = spectral._select_entry(path, z)
+    return path, best, scores, flagged
 
 
 def _write_csv_rows(path, header, rows):
@@ -160,11 +160,9 @@ def cmd_eval(args) -> int:
 
 def cmd_path(args) -> int:
     path, _, scores, _ = _path(args, parse_rho_grid(args.rho_grid))
-    rows = []
-    for i in range(len(path)):
-        b = spectral.eigen_bounds(path.basis.spec_norm_cov, float(path.rhos[i]),
-                                  args.method)
-        rows.append((path.rhos[i], b.alpha, b.beta, scores[i]))
+    # each entry's bracket is the one its saved model carries
+    bounds = (path.model_at(i).bounds for i in range(len(path)))
+    rows = [(rho, b.alpha, b.beta, s) for rho, b, s in zip(path.rhos, bounds, scores)]
     _write_csv_rows(args.output, ("rho", "alpha", "beta", "val_score"), rows)
     return 0
 

@@ -100,7 +100,8 @@ def load_csv(path, delimiter: str = ",", has_header: bool = False,
     _check_io_flags(delimiter, orientation)
     rows = []
     names = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig reads the byte-order mark that spreadsheet programs write
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             for i, record in enumerate(reader):
@@ -121,6 +122,8 @@ def load_csv(path, delimiter: str = ",", has_header: bool = False,
                 rows.append(parsed)
         except UnicodeDecodeError as exc:
             raise DataError("file is not UTF-8 text", path=str(path), detail=str(exc)) from None
+    while rows and not rows[-1]:  # blank lines at the end of the file
+        rows.pop()
     if not rows:
         raise DataError("empty file", path=str(path))
     width = len(rows[0])

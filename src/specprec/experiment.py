@@ -72,17 +72,6 @@ def _check_keys(doc, kinds: dict, required) -> None:
             raise UsageError(message, keys=keys)
 
 
-def _fit_and_score(basis, rho_grid, method, val_centered, p_cov):
-    t0 = time.perf_counter()
-    path = spectral.solution_path(basis, rho_grid, method)
-    rho, _ = spectral.select_rho_by_validation(path, val_centered)
-    # the validated fit is its path entry
-    model = path.model_at(int(np.flatnonzero(path.rhos == rho)[0]))
-    runtime_ms = (time.perf_counter() - t0) * 1e3
-    kl = spiked.gaussian_kl(p_cov, model)
-    return rho, kl, runtime_ms
-
-
 def run_scenario(config: ScenarioConfig):
     """Run all repetitions; returns result rows matching RESULT_COLUMNS."""
     seeds = np.random.SeedSequence(config.root_seed).spawn(config.repetitions)
@@ -94,14 +83,17 @@ def run_scenario(config: ScenarioConfig):
         train = spiked.sample(truth, config.t_train, config.entry_dist, s_train)
         val = spiked.sample(truth, config.t_val, config.entry_dist, s_val)
         train_c = dataset.center(train)
-        # validation columns centered with the *training* mean
-        val_c = dataset._adopt(values=val.values - train_c.mean[:, None])
         basis = spectral.thin_svd(train_c)
         p_cov = spiked.true_covariance(truth)
         for method in ("riccati", "tikhonov"):
-            rho, kl, ms = _fit_and_score(basis, config.rho_grid, method,
-                                         val_c, p_cov)
-            rows.append((rep, method, rho, kl, ms))
+            t0 = time.perf_counter()
+            path = spectral.solution_path(basis, config.rho_grid, method)
+            # validation columns scored less the *training* mean
+            best, _ = spectral._select_entry(path, val.values, train_c.mean)
+            model = path.model_at(best)  # the validated fit is its path entry
+            ms = (time.perf_counter() - t0) * 1e3
+            rows.append((rep, method, float(path.rhos[best]),
+                         spiked.gaussian_kl(p_cov, model), ms))
         t0 = time.perf_counter()
         iso = spectral.isotropic_fit(basis)
         ms = (time.perf_counter() - t0) * 1e3

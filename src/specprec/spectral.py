@@ -155,8 +155,12 @@ def thin_svd(data: DataMatrix) -> SpectralBasis:
         keep = s > max(n, t) * eps * s[0]
         u = u[:, keep]
         s = s[keep]
+    # s^2 / T may overflow for finite s; every fit then refuses the spectrum by
+    # name (test_overflowed_covariance_spectrum_is_refused_by_name)
+    with np.errstate(over="ignore"):
+        d = s * s / t
     return _with_gram(SpectralBasis, gram, basis_u=u, data_singvals=s,
-                      cov_eigvals=s * s / t, n_vars=n, n_samples=t, mean=data.mean)
+                      cov_eigvals=d, n_vars=n, n_samples=t, mean=data.mean)
 
 
 def _riccati_diag(cov_eigvals: np.ndarray, rho: float):
@@ -254,11 +258,11 @@ def solution_path(basis: SpectralBasis, rhos, method: str = "riccati") -> Regula
                               method=method)
 
 
-def select_rho_by_validation(path: RegularizationPath, val_data: DataMatrix):
-    """Pick the rho maximizing average held-out log-likelihood.
-
-    ``val_data`` must already be centered with the training mean.  Ties break
-    toward larger rho (stronger regularization).
+def _select_entry(path: RegularizationPath, values: np.ndarray, mean=None):
+    """The index of the path entry with the best average held-out
+    log-likelihood on the columns of ``values`` less ``mean`` (the training
+    mean; None for columns already centered with it), and every entry's
+    score.  Ties break toward larger rho (stronger regularization).
 
     The path is scored in factored form, without building a model per rho,
     by the scorer of ``average_log_likelihood``: one O(N r T_val) pass over
@@ -268,17 +272,23 @@ def select_rho_by_validation(path: RegularizationPath, val_data: DataMatrix):
     likelihood of the model at that rho bit for bit.
     """
     basis = path.basis
-    if val_data.n_vars != basis.n_vars:
+    if values.shape[0] != basis.n_vars:
         raise UsageError("validation data dimension mismatch",
-                         expected=basis.n_vars, got=val_data.n_vars)
+                         expected=basis.n_vars, got=values.shape[0])
     scores = (_spectrum_logdet(basis.n_vars, path.diags, path.cs)
-              - _mean_quadratic_form(basis.basis_u, val_data.values, None,
-                                     path.diags, path.cs))
+              - _mean_quadratic_form(basis.basis_u, values, mean, path.diags, path.cs))
     best = 0
     for i in range(1, len(path)):
         if scores[i] > scores[best] or (
                 scores[i] == scores[best] and path.rhos[i] > path.rhos[best]):
             best = i
+    return best, scores
+
+
+def select_rho_by_validation(path: RegularizationPath, val_data: DataMatrix):
+    """``_select_entry``'s rho for ``val_data`` centered with the training mean,
+    and the (M, 2) table of (rho, score) rows."""
+    best, scores = _select_entry(path, val_data.values)
     return float(path.rhos[best]), np.column_stack([path.rhos, scores])
 
 

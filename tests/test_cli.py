@@ -302,6 +302,35 @@ def test_path_matches_direct_fit(tmp_path):
     assert np.isfinite(score)
 
 
+@pytest.mark.parametrize("method", ["riccati", "tikhonov"])
+def test_path_rows_carry_each_entry_bounds(tmp_path, method):
+    from specprec import center, load_csv, solution_path, thin_svd
+
+    spec = "0.01:100:log:9"
+    out = tmp_path / "p.csv"
+    assert main(["path", "--input", SMALL, "--val", SMALL_VAL, "--rho-grid", spec,
+                 "--method", method, "--output", str(out)]) == 0
+    path = solution_path(thin_svd(center(load_csv(SMALL))), parse_rho_grid(spec), method)
+    rows = [[float(v) for v in r] for r in read_csv_rows(str(out))[1:]]
+    assert [r[0] for r in rows] == list(path.rhos)
+    for i, (_, alpha, beta, _) in enumerate(rows):
+        bounds = path.model_at(i).bounds
+        assert (alpha, beta) == (bounds.alpha, bounds.beta)
+
+
+@pytest.mark.parametrize("command", ["fit", "path"])
+def test_validation_rows_must_match_training(tmp_path, capsys, command):
+    # a data error (exit 3), checked before the selection's own usage check
+    short = tmp_path / "short.csv"
+    short.write_text("".join(Path(SMALL_VAL).read_text().splitlines(keepends=True)[:-1]))
+    rc = main([command, "--input", SMALL, "--val", str(short),
+               "--output", str(tmp_path / "out")])
+    assert rc == EXIT_DATA
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == EXIT_DATA
+    assert err["message"] == "validation data dimension mismatch"
+
+
 def test_sparsify_uses_stored_rho_as_default(tmp_path):
     model_path = tmp_path / "m.json"
     main(["fit", "--input", SMALL, "--output", str(model_path),
@@ -575,6 +604,24 @@ def test_non_utf8_csv_is_data_error(tmp_path, capsys):
     rc = main(["fit", "--input", str(bad), "--rho", "1.0",
                "--output", str(tmp_path / "m.json")])
     assert rc == EXIT_DATA and _one_line_error(capsys) == EXIT_DATA
+
+
+def test_byte_order_mark_and_trailing_blank_lines_are_read(tmp_path, capsys):
+    # spreadsheet programs write the mark and editors leave the blank lines;
+    # a blank line between rows is still a ragged row
+    texts = {"clean": "1,2,3\n4,5,7\n", "mark": "\ufeff1,2,3\n4,5,7\n",
+             "blank": "1,2,3\n4,5,7\n\n", "blanks": "1,2,3\r\n4,5,7\r\n\r\n\r\n",
+             "gap": "1,2,3\n\n4,5,7\n"}
+    codes = {}
+    for name, text in texts.items():
+        (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8", newline="")
+        codes[name] = main(["fit", "--input", str(tmp_path / f"{name}.csv"), "--rho", "1",
+                            "--output", str(tmp_path / f"{name}.json")])
+    assert codes == dict.fromkeys(texts, 0) | {"gap": EXIT_DATA}
+    assert _one_line_error(capsys) == EXIT_DATA
+    clean = (tmp_path / "clean.json").read_bytes()
+    for name in ("mark", "blank", "blanks"):
+        assert (tmp_path / f"{name}.json").read_bytes() == clean
 
 
 def test_non_finite_thresholds_are_usage_errors(tmp_path, capsys):
