@@ -57,11 +57,12 @@ def _load(args, path) -> dataset.DataMatrix:
 
 def _prepare(args):
     """Training data ready for the SVD, the training mean and scale that put
-    validation columns on its footing, (x - mean) / scale, and its constant rows."""
+    validation columns on its footing, (x - mean) / scale (scale None without
+    --standardize), and its constant rows."""
     data = dataset.center(_load(args, args.input))
     scale, flagged = dataset.row_scale(data)
     if not args.standardize:
-        return data, data.mean, np.ones(data.n_vars), flagged
+        return data, data.mean, None, flagged
     return dataset._scaled(data, scale), data.mean, scale, flagged
 
 
@@ -79,9 +80,12 @@ def _path(args, grid):
     if val.n_vars != mean.size:
         raise DataError("validation data dimension mismatch",
                         expected=mean.size, got=val.n_vars)
-    z = val.values - mean[:, None]
-    z /= scale[:, None]
-    best, scores = spectral._select_entry(path, z)
+    if scale is None:  # the scorer subtracts the mean block by block
+        best, scores = spectral._select_entry(path, val.values, mean=mean)
+    else:
+        z = val.values - mean[:, None]
+        z /= scale[:, None]
+        best, scores = spectral._select_entry(path, z)
     return path, best, scores, flagged
 
 
@@ -188,8 +192,7 @@ def cmd_screen(args) -> int:
     edges = model_mod.important_edges(fitted, args.epsilon, args.max_edges,
                                       np.setdiff1d(np.arange(fitted.n_vars), unimportant))
     with open(args.unimportant_out, "w", encoding="utf-8") as fh:
-        for n in unimportant:
-            fh.write(f"{int(n)}\n")
+        fh.write("".join(f"{int(n)}\n" for n in unimportant))
     _write_csv_rows(args.edges_out, ("n1", "n2", "partial_correlation"), edges)
     return 0
 

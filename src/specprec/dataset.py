@@ -9,6 +9,8 @@ sqrt((1/T) sum x^2) so that standardized data has unit diagonal covariance.
 from __future__ import annotations
 
 import csv
+import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +49,8 @@ class DataMatrix:
                             shape=tuple(np.shape(self.values)))
         # a finite row sum proves every entry finite; the N x T mask is built
         # only to locate a bad entry (finite values may overflow a sum)
-        row_sums = values.sum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            row_sums = values.sum(axis=1)
         bad = () if np.isfinite(row_sums).all() else np.argwhere(~np.isfinite(values))
         if len(bad):
             raise DataError("non-finite value in data", row=int(bad[0, 0]), col=int(bad[0, 1]))
@@ -96,18 +99,65 @@ def load_csv(path, delimiter: str = ",", has_header: bool = False,
     result is always variable-major.  With ``samples-as-rows`` a header row
     supplies the variable names.  The delimiter rule is ``write_csv``'s, and a
     file that is not UTF-8 text is a DataError.
+
+    The text is read once and its body parsed by ``np.loadtxt``.  A file that
+    reader refuses, that holds a non-finite value or a blank line between
+    rows goes to the cell-by-cell parser instead, which reads what
+    ``csv.reader`` and ``float`` accept and reports a bad cell by its row
+    and column in the file.
     """
     _check_io_flags(delimiter, orientation)
-    rows = []
+    try:
+        # utf-8-sig reads the byte-order mark that spreadsheet programs write
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        text = None
+    parsed = None if text is None else _parse_text(text, delimiter, has_header)
+    mat, header = parsed or _parse_cells(path, delimiter, has_header)
     names = None
-    # utf-8-sig reads the byte-order mark that spreadsheet programs write
+    if orientation == "samples-as-rows":
+        mat = np.ascontiguousarray(mat.T)
+        names = None if header is None else tuple(header)
+    return _adopt(values=mat, variable_names=names)
+
+
+def _parse_text(text: str, delimiter: str, has_header: bool):
+    """(matrix, header record) by ``np.loadtxt``, or None when the body is
+    empty, does not parse, holds a non-finite value or a line that loadtxt
+    skips (a blank line between rows, which the cell parser refuses)."""
+    text = text.rstrip("\r\n")  # blank lines at the end of the file
+    lines = text.count("\n") + text.count("\r") - text.count("\r\n") + 1
+    body = io.StringIO(text, newline="")
+    header = None
+    if has_header:
+        reader = csv.reader(body, delimiter=delimiter)
+        header = next(reader, None)
+        lines -= reader.line_num
+    if not text or lines < 1:
+        return None
+    try:
+        mat = np.loadtxt(body, delimiter=delimiter, comments=None, quotechar='"', ndmin=2)
+    except ValueError:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mat.shape[0] != lines or not np.isfinite(mat.sum(axis=1)).all():
+            return None
+    return mat, header
+
+
+def _parse_cells(path, delimiter: str, has_header: bool):
+    """(matrix, header record) cell by cell with ``csv.reader`` and
+    ``float``; a cell, row or file that cannot be read is a DataError naming
+    its place in the file."""
+    rows = []
+    header = None
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             for i, record in enumerate(reader):
                 if i == 0 and has_header:
-                    if orientation == "samples-as-rows":
-                        names = tuple(record)
+                    header = record
                     continue
                 parsed = []
                 for j, cell in enumerate(record):
@@ -116,7 +166,7 @@ def load_csv(path, delimiter: str = ",", has_header: bool = False,
                     except ValueError:
                         raise DataError("cell does not parse as a number",
                                         row=i, col=j, cell=cell) from None
-                    if not np.isfinite(v):
+                    if not math.isfinite(v):
                         raise DataError("non-finite value in data", row=i, col=j, cell=cell)
                     parsed.append(v)
                 rows.append(parsed)
@@ -131,10 +181,7 @@ def load_csv(path, delimiter: str = ",", has_header: bool = False,
         if len(r) != width:
             raise DataError("ragged row", row=i + int(has_header),
                             expected=width, got=len(r))
-    mat = np.array(rows, dtype=np.float64)
-    if orientation == "samples-as-rows":
-        mat = np.ascontiguousarray(mat.T)
-    return _adopt(values=mat, variable_names=names)
+    return np.array(rows, dtype=np.float64), header
 
 
 def write_csv(data: DataMatrix, path, delimiter: str = ",",

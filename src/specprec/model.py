@@ -460,15 +460,24 @@ def materialize_dense(model: LowRankPrecision) -> np.ndarray:
 
 # -- JSON serialization -------------------------------------------------------
 
-def _model_to_dict(model: LowRankPrecision) -> dict:
+def _write_json_list(fh, arr: np.ndarray) -> None:
+    """``json.dumps(arr.tolist())``, written ``_ROW_BLOCK`` rows at a time."""
+    fh.write("[")
+    for lo in range(0, arr.shape[0], _ROW_BLOCK):
+        fh.write((", " if lo else "") + json.dumps(arr[lo:lo + _ROW_BLOCK].tolist())[1:-1])
+    fh.write("]")
+
+
+def save_model(model: LowRankPrecision, path, rho: float | None = None) -> None:
+    """Write a model as format_version 1 JSON, with the fitting ``rho`` (the
+    default threshold for sparsify) when given.
+
+    The text is what ``json.dump`` writes for the whole document, written in
+    pieces: the basis goes out ``_ROW_BLOCK`` rows (or COO entries) at a time,
+    so neither the whole text nor the basis as one Python list is held.
+    """
     a = model.basis_a
-    if _is_sparse(a):
-        coo = a.tocoo()
-        basis = {"rows": coo.row.tolist(), "cols": coo.col.tolist(),
-                 "vals": coo.data.tolist()}
-    else:
-        basis = np.asarray(a).tolist()
-    doc = {
+    head = {
         "format_version": 1,
         "n": model.n_vars,
         "r": model.rank,
@@ -476,21 +485,24 @@ def _model_to_dict(model: LowRankPrecision) -> dict:
         "orthonormal": model.orthonormal,
         "mean": model.mean.tolist(),
         "diag": model.diag_d.tolist(),
-        "basis": basis,
     }
+    tail = {}
     if model.bounds is not None:
-        doc["bounds"] = {"alpha": model.bounds.alpha, "beta": model.bounds.beta}
-    return doc
-
-
-def save_model(model: LowRankPrecision, path, rho: float | None = None) -> None:
-    """Write a model as format_version 1 JSON, with the fitting ``rho`` (the
-    default threshold for sparsify) when given."""
-    doc = _model_to_dict(model)
+        tail["bounds"] = {"alpha": model.bounds.alpha, "beta": model.bounds.beta}
     if rho is not None:
-        doc["rho"] = float(rho)
+        tail["rho"] = float(rho)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(head)[:-1] + ', "basis": ')
+        if _is_sparse(a):
+            coo = a.tocoo()
+            for sep, key, arr in (("{", "rows", coo.row), (", ", "cols", coo.col),
+                                  (", ", "vals", coo.data)):
+                fh.write(f'{sep}"{key}": ')
+                _write_json_list(fh, arr)
+            fh.write("}")
+        else:
+            _write_json_list(fh, np.asarray(a))
+        fh.write(", " + json.dumps(tail)[1:] if tail else "}")
         fh.write("\n")
 
 

@@ -54,6 +54,119 @@ def test_load_errors(tmp_path, text, kind):
     assert exc.value.context  # coordinates reported
 
 
+def _both_readers(path, delimiter=",", has_header=False):
+    """(loadtxt reader's result or None, cell parser's result or DataError)."""
+    from specprec.dataset import _parse_cells, _parse_text
+
+    try:
+        text = path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError:
+        fast = None
+    else:
+        # the text as open(..., newline="") reads it
+        fast = _parse_text(text, delimiter, has_header)
+    try:
+        cells = _parse_cells(path, delimiter, has_header)
+    except DataError as exc:
+        cells = exc
+    return fast, cells
+
+
+_ROWS = [[1.0, 2.0], [3.0, 4.0]]
+
+
+# files at the edge of the loadtxt reader: each reads as the cell parser
+# reads it, to the same values or the same error and place in the file
+@pytest.mark.parametrize("raw,has_header,fast,want", [
+    (b'"1",2\n3,"4"\n', False, True, _ROWS),
+    (b" 1 , 2 \n3,4\t\n", False, True, _ROWS),
+    ("\ufeff\xa01,2\n3,4\n".encode(), False, True, _ROWS),  # a mark, a no-break space
+    (b"1_0,2\n3,4\n", False, False, [[10.0, 2.0], [3.0, 4.0]]),
+    ("\uff11,2\n3,4\n".encode(), False, False, _ROWS),  # a full-width digit
+    (b"1,nan\n3,4\n", False, False,
+     ("non-finite value in data", {"row": 0, "col": 1, "cell": "nan"})),
+    (b"a,b\n1,2\n-inf,4\n", True, False,
+     ("non-finite value in data", {"row": 2, "col": 0, "cell": "-inf"})),
+    (b"1,1e999\n3,4\n", False, False,
+     ("non-finite value in data", {"row": 0, "col": 1, "cell": "1e999"})),
+    (b"1,\n3,4\n", False, False,
+     ("cell does not parse as a number", {"row": 0, "col": 1, "cell": ""})),
+    (b"1\n  \n2\n", False, False,
+     ("cell does not parse as a number", {"row": 1, "col": 0, "cell": "  "})),
+    (b"1,2\n3\n", False, False, ("ragged row", {"row": 1, "expected": 2, "got": 1})),
+    (b"1,2\n\n3,4\n", False, False, ("ragged row", {"row": 1, "expected": 2, "got": 0})),
+    (b"a,b\r\n1,2\r\n\r\n3,4\r\n", True, False,
+     ("ragged row", {"row": 2, "expected": 2, "got": 0})),
+    (b"1,2\n\xff,4\n", False, False,
+     ("file is not UTF-8 text",
+      {"detail": "'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"})),
+    (b"\n\r\n", False, False, ("empty file", {})),
+    (b"a,b\n", True, False, ("empty file", {})),
+])
+def test_loadtxt_reader_falls_back_to_the_cell_parser(tmp_path, raw, has_header, fast, want):
+    path = tmp_path / "edge.csv"
+    path.write_bytes(raw)
+    got_fast, cells = _both_readers(path, has_header=has_header)
+    assert (got_fast is not None) == fast
+    if isinstance(want, tuple):
+        with pytest.raises(DataError) as exc:
+            load_csv(path, has_header=has_header)
+        context = {k: v for k, v in exc.value.context.items() if k != "path"}
+        assert (exc.value.message, context) == want
+        assert isinstance(cells, DataError) and cells.context == exc.value.context
+    else:
+        np.testing.assert_array_equal(load_csv(path, has_header=has_header).values, want)
+        np.testing.assert_array_equal(cells[0], want)
+
+
+_finite_matrices = st.integers(1, 5).flatmap(lambda n: st.integers(1, 5).flatmap(
+    lambda t: st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                                min_size=t, max_size=t), min_size=n, max_size=n)))
+
+
+@given(values=_finite_matrices,
+       orientation=st.sampled_from(["variables-as-rows", "samples-as-rows"]),
+       delimiter=st.sampled_from([",", ";", "\t", " "]),
+       line_end=st.sampled_from(["\r\n", "\n", "\r"]),
+       header=st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_written_csv_reads_back_through_both_readers(tmp_path_factory, values, orientation,
+                                                     delimiter, line_end, header):
+    path = tmp_path_factory.getbasetemp() / "written.csv"
+    header = header and orientation == "samples-as-rows"
+    names = tuple(f'v{i},"q" {i}' for i in range(len(values))) if header else None
+    data = DataMatrix(values=values, variable_names=names)
+    write_csv(data, path, delimiter=delimiter, orientation=orientation)
+    path.write_bytes(path.read_bytes().replace(b"\r\n", line_end.encode()))
+    back = load_csv(path, delimiter=delimiter, has_header=header, orientation=orientation)
+    assert back.values.tobytes() == data.values.tobytes()  # -0.0 and subnormals too
+    assert back.variable_names == names
+    fast, (mat, record) = _both_readers(path, delimiter, header)
+    file_rows = data.values if orientation == "variables-as-rows" else data.values.T
+    # loadtxt reads every such file whose row sums do not overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite_sums = np.isfinite(file_rows.sum(axis=1)).all()
+    assert (fast is not None) == bool(finite_sums)
+    if fast is not None:
+        assert fast[0].tobytes() == mat.tobytes() and fast[1] == record
+
+
+@given(text=st.lists(st.sampled_from(list("0123456789,;. \t\r\n\"e+-_") +
+                                     ["nan", "inf", "1e999", "\xa0", "\x0c", "\x85", "\uff11"]),
+                    max_size=24).map("".join),
+       delimiter=st.sampled_from([",", ";", " "]), has_header=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_loadtxt_reader_agrees_with_the_cell_parser_on_any_text(tmp_path_factory, text,
+                                                                delimiter, has_header):
+    path = tmp_path_factory.getbasetemp() / "any.csv"
+    path.write_bytes(text.encode())
+    fast, cells = _both_readers(path, delimiter, has_header)
+    if fast is not None:  # loadtxt read it: the cell parser reads the same
+        assert not isinstance(cells, DataError), (text, cells)
+        assert fast[0].shape == cells[0].shape and fast[0].tobytes() == cells[0].tobytes()
+        assert fast[1] == cells[1]
+
+
 def test_center_examples():
     d = center(DataMatrix(values=[[1.0, 3.0]]))
     np.testing.assert_allclose(d.values, [[-1.0, 1.0]])

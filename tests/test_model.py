@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -530,6 +531,71 @@ def test_save_load_roundtrip(tmp_path, rng):
     np.testing.assert_array_equal(back.mean, m.mean)
     assert back.c == m.c and back.orthonormal == m.orthonormal
     assert back.bounds == m.bounds
+
+
+def _v1_text(m, rho=None) -> str:
+    """The format_version 1 document of ``m``, assembled here and encoded by
+    one ``json.dumps``: the text ``save_model`` must write."""
+    a = m.basis_a
+    if sp.issparse(a):
+        coo = a.tocoo()
+        basis = {"rows": coo.row.tolist(), "cols": coo.col.tolist(), "vals": coo.data.tolist()}
+    else:
+        basis = np.asarray(a).tolist()
+    doc = {"format_version": 1, "n": m.n_vars, "r": m.rank, "c": m.c,
+           "orthonormal": m.orthonormal, "mean": m.mean.tolist(), "diag": m.diag_d.tolist(),
+           "basis": basis}
+    if m.bounds is not None:
+        doc["bounds"] = {"alpha": m.bounds.alpha, "beta": m.bounds.beta}
+    if rho is not None:
+        doc["rho"] = float(rho)
+    return json.dumps(doc) + "\n"
+
+
+@functools.cache
+def _writer_models():
+    rng = np.random.default_rng(2201)
+    dense = random_orthonormal_model(rng, 9, 3, mean=rng.standard_normal(9))
+    sparse, _ = sparsify_model(random_orthonormal_model(rng, 300, 4), 1.0, "hard")
+    tall = 2 * _ROW_BLOCK + 37  # blocks of the dense rows and of the COO entries
+    return {
+        "dense": (dense, None),
+        "dense_rho": (dense, 0.37),
+        "sparse": (sparse, 1.0),
+        "sparse_empty": (LowRankPrecision(basis_a=sp.csr_matrix((7, 2)), diag_d=np.array([-0.5, 2.0]),
+                                          c=1.5, mean=rng.standard_normal(7)), None),
+        "rank_zero": (iso_model(5, c=2.0, mean=rng.standard_normal(5)), None),
+        "no_bounds": (LowRankPrecision(basis_a=np.asarray(dense.basis_a), diag_d=dense.diag_d,
+                                       c=dense.c, mean=dense.mean), 2.5),
+        "tall_dense": (random_orthonormal_model(rng, tall, 2, mean=rng.standard_normal(tall)),
+                       1e-3),
+        "tall_sparse": (LowRankPrecision(basis_a=sparse_orthonormal_basis(rng, tall, 3),
+                                         diag_d=np.array([-0.25, 0.5, 1.0]), c=1.0,
+                                         mean=np.zeros(tall)), None),
+    }
+
+
+@pytest.mark.parametrize("name", ["dense", "dense_rho", "sparse", "sparse_empty", "rank_zero",
+                                  "no_bounds", "tall_dense", "tall_sparse"])
+def test_save_model_writes_the_json_dumps_text(tmp_path, name):
+    m, rho = _writer_models()[name]
+    if name == "sparse_empty":
+        assert m.basis_a.nnz == 0
+    if name == "tall_sparse":
+        assert m.basis_a.nnz > _ROW_BLOCK
+    path = tmp_path / "m.json"
+    save_model(m, path, rho=rho)
+    assert path.read_text(encoding="utf-8") == _v1_text(m, rho)
+    back, back_rho = load_model_with_rho(path)
+    assert back_rho == rho
+    assert sp.issparse(back.basis_a) == sp.issparse(m.basis_a)
+    dense_a = m.basis_a.toarray() if sp.issparse(m.basis_a) else m.basis_a
+    back_a = back.basis_a.toarray() if sp.issparse(back.basis_a) else back.basis_a
+    assert back_a.tobytes() == np.asarray(dense_a).tobytes()
+    for field in ("diag_d", "mean"):
+        assert getattr(back, field).tobytes() == getattr(m, field).tobytes()
+    assert (back.c, back.bounds, back.orthonormal, back.pd_certified) == \
+        (m.c, m.bounds, m.orthonormal, m.pd_certified)
 
 
 def test_sparsified_model_roundtrip_keeps_certificate(tmp_path):
