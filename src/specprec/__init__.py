@@ -10,7 +10,7 @@ from .model import (EigenBounds, LowRankPrecision, average_log_likelihood,
 from .sparsify import (SparsifyReport, expected_offdiag_density,
                        hard_threshold_basis, kl_degradation_bound,
                        measure_density, soft_threshold_basis, sparsify_model)
-from .spectral import (RegularizationPath, SpectralBasis, eigen_bounds,
+from .spectral import (RegularizationPath, SpectralBasis, eigen_bounds, fit_path,
                        isotropic_fit, riccati_fit, select_rho_by_validation,
                        solution_path, thin_svd, tikhonov_fit)
 from .spiked import (FactoredCovariance, SpikedModel, concentration_gamma,

@@ -55,38 +55,19 @@ def _load(args, path) -> dataset.DataMatrix:
                             orientation=args.orientation)
 
 
-def _prepare(args):
-    """Training data ready for the SVD, the training mean and scale that put
-    validation columns on its footing, (x - mean) / scale (scale None without
-    --standardize), and its constant rows."""
-    data = dataset.center(_load(args, args.input))
-    scale, flagged = dataset.row_scale(data)
-    if not args.standardize:
-        return data, data.mean, None, flagged
-    return dataset._scaled(data, scale), data.mean, scale, flagged
-
-
 def _path(args, grid):
-    """The training data's regularization path over ``grid``, the index of its
-    entry with the best --val score (0 without --val), every entry's score
-    (NaN without --val) and the training data's constant rows.  The grid is
+    """``spectral.fit_path`` of the training CSV over ``grid``, scored on
+    --val when given, and the training data's constant rows.  The grid is
     checked before any file is read."""
     spectral._require_rho(grid)
-    data, mean, scale, flagged = _prepare(args)
-    path = spectral.solution_path(spectral.thin_svd(data), grid, args.method)
-    if args.val is None:
-        return path, 0, np.full(len(path), np.nan), flagged
-    val = _load(args, args.val)
-    if val.n_vars != mean.size:
+    data = dataset.center(_load(args, args.input))
+    scale, flagged = dataset.row_scale(data)
+    val = None if args.val is None else _load(args, args.val)
+    if val is not None and val.n_vars != data.n_vars:
         raise DataError("validation data dimension mismatch",
-                        expected=mean.size, got=val.n_vars)
-    if scale is None:  # the scorer subtracts the mean block by block
-        best, scores = spectral._select_entry(path, val.values, mean=mean)
-    else:
-        z = val.values - mean[:, None]
-        z /= scale[:, None]
-        best, scores = spectral._select_entry(path, z)
-    return path, best, scores, flagged
+                        expected=data.n_vars, got=val.n_vars)
+    return (*spectral.fit_path(data, grid, args.method, val,
+                               scale if args.standardize else None), flagged)
 
 
 def _write_csv_rows(path, header, rows):
@@ -324,12 +305,7 @@ def _jsonable(v):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SpecprecError as exc:
-        _emit_error(EXIT_USAGE, exc)
-        return EXIT_USAGE
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -113,8 +113,11 @@ def load_csv(path, delimiter: str = ",", has_header: bool = False,
             text = fh.read()
     except UnicodeDecodeError:
         text = None
-    parsed = None if text is None else _parse_text(text, delimiter, has_header)
-    mat, header = parsed or _parse_cells(path, delimiter, has_header)
+    try:
+        parsed = None if text is None else _parse_text(text, delimiter, has_header)
+        mat, header = parsed or _parse_cells(path, delimiter, has_header)
+    except csv.Error as exc:  # a cell over the csv module's field size limit
+        raise DataError("record does not parse as CSV", path=str(path), detail=str(exc)) from None
     names = None
     if orientation == "samples-as-rows":
         mat = np.ascontiguousarray(mat.T)

@@ -83,19 +83,16 @@ def run_scenario(config: ScenarioConfig):
         train = spiked.sample(truth, config.t_train, config.entry_dist, s_train)
         val = spiked.sample(truth, config.t_val, config.entry_dist, s_val)
         train_c = dataset.center(train)
-        basis = spectral.thin_svd(train_c)
         p_cov = spiked.true_covariance(truth)
         for method in ("riccati", "tikhonov"):
             t0 = time.perf_counter()
-            path = spectral.solution_path(basis, config.rho_grid, method)
-            # validation columns scored less the *training* mean
-            best, _ = spectral._select_entry(path, val.values, train_c.mean)
+            path, best, _ = spectral.fit_path(train_c, config.rho_grid, method, val)
             model = path.model_at(best)  # the validated fit is its path entry
             ms = (time.perf_counter() - t0) * 1e3
             rows.append((rep, method, float(path.rhos[best]),
                          spiked.gaussian_kl(p_cov, model), ms))
         t0 = time.perf_counter()
-        iso = spectral.isotropic_fit(basis)
+        iso = spectral.isotropic_fit(path.basis)
         ms = (time.perf_counter() - t0) * 1e3
         rows.append((rep, "isotropic", float("nan"),
                      spiked.gaussian_kl(p_cov, iso), ms))

@@ -257,26 +257,29 @@ def _with_gram(cls, gram, **fields):
     return obj
 
 
-def _mean_quadratic_form(a, values: np.ndarray, mean, diag_d, c):
+def _mean_quadratic_form(a, values: np.ndarray, mean, diag_d, c, scale=None):
     """mean_t z_t^T (A diag(d) A^T + c I) z_t over the columns z_t of
-    Z = X - mean (Z = X when ``mean`` is None): the one scorer behind every
+    Z = (X - mean) / scale, row by row (no subtraction when ``mean`` is None,
+    no division when ``scale`` is None): the one scorer behind every
     likelihood, validation score and KL mean term.
 
     One walk over ``_row_blocks(a)`` with the aligned rows of X sums
-    w2_r = mean_t (a_r^T z_t)^2 and zz = mean_t ||z_t||^2, subtracting a mean
-    into one block-sized buffer, so no N x T temporary is built and a sparse
-    basis gives what its dense copy gives, bit for bit.  The form is then
-    sum_r d_r w2_r + c zz.  An (M, r) ``diag_d`` with an (M,) ``c`` scores a
-    whole path; each row is summed over the last axis as a 1-D ``diag_d`` is,
-    so a path entry equals its model's value bit for bit.
+    w2_r = mean_t (a_r^T z_t)^2 and zz = mean_t ||z_t||^2, centring and
+    scaling into one block-sized buffer, so no N x T temporary is built and
+    a sparse basis gives what its dense copy gives, bit for bit.  The form
+    is then sum_r d_r w2_r + c zz.  An (M, r) ``diag_d`` with an (M,) ``c``
+    scores a whole path; each row is summed over the last axis as a 1-D
+    ``diag_d`` is, so a path entry equals its model's value bit for bit.
     """
     n, r = a.shape
     t = values.shape[1]
-    w, norms = np.zeros((r, t)), np.zeros(t)
-    buf = None if mean is None else np.empty((min(n, _ROW_BLOCK), t))
+    w, norms, buf = np.zeros((r, t)), np.zeros(t), np.empty((min(n, _ROW_BLOCK), t))
     for lo, hi, a_blk in _row_blocks(a):
-        z = (values[lo:hi] if mean is None
-             else np.subtract(values[lo:hi], mean[lo:hi, None], out=buf[:hi - lo]))
+        z = values[lo:hi]
+        if mean is not None:
+            z = np.subtract(z, mean[lo:hi, None], out=buf[:hi - lo])
+        if scale is not None:
+            z = np.divide(z, scale[lo:hi, None], out=buf[:hi - lo])
         w += a_blk.T @ z
         norms += np.einsum("nt,nt->t", z, z)
     return (diag_d * (w * w).mean(axis=1)).sum(axis=-1) + c * norms.mean()

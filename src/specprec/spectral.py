@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataMatrix
+from .dataset import DataMatrix, _scaled
 from .errors import NumericError, UsageError
 from .model import (_ROW_BLOCK, EigenBounds, LowRankPrecision, _mean_quadratic_form,
                     _require_orthonormal, _spectrum_logdet, _with_gram)
@@ -27,6 +27,7 @@ __all__ = [
     "solution_path",
     "eigen_bounds",
     "select_rho_by_validation",
+    "fit_path",
     "isotropic_fit",
 ]
 
@@ -258,11 +259,12 @@ def solution_path(basis: SpectralBasis, rhos, method: str = "riccati") -> Regula
                               method=method)
 
 
-def _select_entry(path: RegularizationPath, values: np.ndarray, mean=None):
+def _select_entry(path: RegularizationPath, values: np.ndarray, mean=None, scale=None):
     """The index of the path entry with the best average held-out
-    log-likelihood on the columns of ``values`` less ``mean`` (the training
-    mean; None for columns already centered with it), and every entry's
-    score.  Ties break toward larger rho (stronger regularization).
+    log-likelihood on the columns of ``values`` less ``mean`` and divided by
+    ``scale`` (the training mean and scale; None for columns already on the
+    training footing), and every entry's score.  Ties break toward larger
+    rho (stronger regularization).
 
     The path is scored in factored form, without building a model per rho,
     by the scorer of ``average_log_likelihood``: one O(N r T_val) pass over
@@ -276,7 +278,8 @@ def _select_entry(path: RegularizationPath, values: np.ndarray, mean=None):
         raise UsageError("validation data dimension mismatch",
                          expected=basis.n_vars, got=values.shape[0])
     scores = (_spectrum_logdet(basis.n_vars, path.diags, path.cs)
-              - _mean_quadratic_form(basis.basis_u, values, mean, path.diags, path.cs))
+              - _mean_quadratic_form(basis.basis_u, values, mean, path.diags, path.cs,
+                                     scale))
     best = 0
     for i in range(1, len(path)):
         if scores[i] > scores[best] or (
@@ -290,6 +293,22 @@ def select_rho_by_validation(path: RegularizationPath, val_data: DataMatrix):
     and the (M, 2) table of (rho, score) rows."""
     best, scores = _select_entry(path, val_data.values)
     return float(path.rhos[best]), np.column_stack([path.rhos, scores])
+
+
+def fit_path(train: DataMatrix, grid, method: str = "riccati", val=None, scale=None):
+    """The path over ``grid`` from one thin SVD of centered ``train`` with
+    its rows divided by ``scale`` (None: unscaled), the index of the entry
+    with the best held-out likelihood on the raw columns of the DataMatrix
+    ``val`` (ties go to the larger rho), which the scorer centres and scales
+    block by block, and every entry's score (index 0 and NaN without ``val``)."""
+    if train.mean is None:
+        raise UsageError("fit_path requires centered training data (mean present)")
+    path = solution_path(thin_svd(train if scale is None else _scaled(train, scale)),
+                         grid, method)
+    if val is None:
+        return path, 0, np.full(len(path), np.nan)
+    best, scores = _select_entry(path, val.values, train.mean, scale)
+    return path, best, scores
 
 
 def isotropic_fit(basis: SpectralBasis) -> LowRankPrecision:

@@ -170,18 +170,16 @@ def test_fit_standardize_keeps_a_constant_row_with_inexact_mean(tmp_path):
         assert json.loads(report.read_text())["zero_variance_vars"] == [7]
 
 
-def test_standardize_transform_peak_is_two_copies(monkeypatch):
-    import argparse
+def test_standardize_transform_peak_is_two_copies():
     import tracemalloc
 
-    from specprec import DataMatrix, cli
+    from specprec import DataMatrix, dataset
 
     raw = DataMatrix(values=np.random.default_rng(0).standard_normal((1 << 16, 64)))
-    monkeypatch.setattr(cli, "_load", lambda args, path: raw)
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        data, _, _, _ = cli._prepare(argparse.Namespace(input=None, standardize=True))
+        data = dataset.standardize(dataset.center(raw))
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
@@ -622,6 +620,42 @@ def test_byte_order_mark_and_trailing_blank_lines_are_read(tmp_path, capsys):
     clean = (tmp_path / "clean.json").read_bytes()
     for name in ("mark", "blank", "blanks"):
         assert (tmp_path / f"{name}.json").read_bytes() == clean
+
+
+@pytest.mark.parametrize("text, flags", [
+    # a blank line between rows sends the file to the cell parser
+    ("LONG,2,3\n4,5,6\n\n7,8,9\n", []),
+    # a header record is read by csv.reader before the body
+    ("a,LONG,c\n1,2,3\n4,5,6\n", ["--has-header"]),
+])
+def test_cell_over_the_csv_field_limit_is_data_error(tmp_path, capsys, text, flags):
+    path = tmp_path / "long.csv"
+    path.write_text(text.replace("LONG", "0." + "0" * 140_000 + "1"))
+    rc = main(["fit", "--input", str(path), "--rho", "1",
+               "--output", str(tmp_path / "m.json")] + flags)
+    assert rc == EXIT_DATA and _one_line_error(capsys) == EXIT_DATA
+
+
+def test_rank_zero_model_sparsifies_screens_and_evaluates(tmp_path):
+    # constant rows centre to zero, so the fit has rank 0: c I with c = 1/sqrt(rho)
+    data = tmp_path / "const.csv"
+    data.write_text("".join(f"{v},{v},{v},{v}\n" for v in (1.5, -2.0, 0.0, 7.0, 3.25)))
+    model, sparse = str(tmp_path / "m.json"), str(tmp_path / "s.json")
+    assert main(["fit", "--input", str(data), "--rho", "4", "--output", model]) == 0
+    assert load_model(model).rank == 0
+    assert main(["sparsify", "--model", model, "--mode", "hard", "--output", sparse,
+                 "--report", str(tmp_path / "r.json")]) == 0
+    m = load_model(sparse)
+    assert m.rank == 0 and m.c == 0.5 and m.pd_certified
+    unimp, edges = tmp_path / "u.txt", tmp_path / "e.csv"
+    assert main(["screen", "--model", sparse, "--epsilon", "0.1",
+                 "--unimportant-out", str(unimp), "--edges-out", str(edges)]) == 0
+    assert unimp.read_text().split() == ["0", "1", "2", "3", "4"]
+    assert read_csv_rows(str(edges)) == [["n1", "n2", "partial_correlation"]]
+    out = tmp_path / "eval.csv"
+    assert main(["eval", "--model", sparse, "--input", str(data), "--output", str(out)]) == 0
+    # mean_t (x_t - mu)^T (c I) (x_t - mu) is 0, so the loss is -log det = -5 log c
+    assert float(read_csv_rows(str(out))[1][1]) == pytest.approx(-5 * np.log(0.5))
 
 
 def test_non_finite_thresholds_are_usage_errors(tmp_path, capsys):

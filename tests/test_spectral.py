@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specprec import (DataMatrix, NumericError, SpectralBasis, UsageError,
-                      average_log_likelihood, center, eigen_bounds,
+                      average_log_likelihood, center, eigen_bounds, fit_path,
                       isotropic_fit, materialize_dense, random_spiked,
                       riccati_fit, select_rho_by_validation, solution_path,
                       spectral, thin_svd, tikhonov_fit, true_precision)
@@ -403,6 +403,67 @@ def test_select_rho_scores_equal_model_likelihoods(rng, method):
     np.testing.assert_array_equal(table[:, 1], expected)
     best = max(range(len(path)), key=lambda i: (expected[i], path.rhos[i]))
     assert rho == path.rhos[best]
+
+
+@pytest.mark.parametrize("method", ["riccati", "tikhonov"])
+@pytest.mark.parametrize("scaled", [False, True])
+def test_fit_path_equals_the_public_chain(rng, method, scaled):
+    # the public chain on training and held-out data put on the training
+    # footing by hand gives fit_path's path, index and scores bit for bit
+    from specprec.dataset import row_scale, standardize
+
+    offsets, scales = rng.uniform(-3.0, 3.0, (150, 1)), rng.uniform(0.2, 4.0, (150, 1))
+    train = center(DataMatrix(values=offsets + scales * rng.standard_normal((150, 12))))
+    raw_val = offsets + scales * rng.standard_normal((150, 7))
+    grid = np.logspace(-3, 1, 15)
+    scale = row_scale(train)[0] if scaled else None
+    path, best, scores = fit_path(train, grid, method, DataMatrix(values=raw_val), scale)
+
+    z = raw_val - train.mean[:, None]
+    if scaled:
+        z /= scale[:, None]
+    ref = solution_path(thin_svd(standardize(train) if scaled else train), grid, method)
+    rho, table = select_rho_by_validation(ref, DataMatrix(values=z))
+    for name in ("basis_u", "cov_eigvals", "mean"):
+        np.testing.assert_array_equal(getattr(path.basis, name), getattr(ref.basis, name))
+    np.testing.assert_array_equal(path.diags, ref.diags)
+    np.testing.assert_array_equal(path.cs, ref.cs)
+    np.testing.assert_array_equal(scores, table[:, 1])
+    assert path.rhos[best] == rho
+
+
+def test_fit_path_without_validation_takes_the_first_entry(rng):
+    train = centered_data(rng, 30, 6)
+    path, best, scores = fit_path(train, [0.1, 1.0, 10.0], "tikhonov")
+    assert best == 0 and len(path) == 3 and np.isnan(scores).all()
+    np.testing.assert_array_equal(path.diags, solution_path(thin_svd(train), [0.1, 1.0, 10.0],
+                                                            "tikhonov").diags)
+
+
+def test_fit_path_requires_centered_training_data(rng):
+    raw = DataMatrix(values=rng.standard_normal((6, 4)))
+    with pytest.raises(UsageError):
+        fit_path(raw, [1.0], scale=np.ones(6))
+
+
+def test_scaled_validation_scoring_makes_no_copy(rng):
+    # the training mean and scale are applied one row block at a time
+    import tracemalloc
+
+    from specprec.dataset import row_scale
+
+    n, t_val = 1 << 16, 64
+    train = center(DataMatrix(values=rng.standard_normal((n, 8))))
+    scale = row_scale(train)[0]
+    path, _, _ = fit_path(train, np.logspace(-2, 1, 10), scale=scale)
+    val = rng.standard_normal((n, t_val))
+    tracemalloc.start()
+    try:
+        spectral._select_entry(path, val, train.mean, scale)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * val.nbytes
 
 
 def test_fits_and_validation_reuse_the_basis_proof(rng, monkeypatch):
