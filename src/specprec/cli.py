@@ -1,10 +1,11 @@
 """Command-line surface: fit / eval / path / sparsify / screen / simulate / bench.
 
-Exit codes are stable: 0 success, 2 usage error, 3 data error (a file
-that cannot be read, parsed or written included), 4 numeric error.  Failures emit a machine-parsable JSON object on stderr.  All
-commands are deterministic given their flags and seed.  The BLAS thread
-count follows the environment (OPENBLAS_NUM_THREADS / OMP_NUM_THREADS);
-set it to 1 where runs must repeat bit for bit.
+Exit codes are stable: 0 success, else the error class's ``exit_code``; a
+file that cannot be read or written is a data error.  Failures emit a
+machine-parsable JSON object on stderr.  All commands are deterministic
+given their flags and seed.  The BLAS thread count follows the environment
+(OPENBLAS_NUM_THREADS / OMP_NUM_THREADS); set it to 1 where runs must
+repeat bit for bit.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from . import dataset, experiment, model as model_mod, sparsify as sparsify_mod
 from . import spectral, spiked
 from .errors import DataError, NumericError, SpecprecError, UsageError
 
-EXIT_USAGE = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
+EXIT_USAGE = UsageError.exit_code
+EXIT_DATA = DataError.exit_code
+EXIT_NUMERIC = NumericError.exit_code
 
 
 def parse_rho_grid(spec: str) -> np.ndarray:
@@ -74,8 +75,7 @@ def _write_csv_rows(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def cmd_fit(args) -> int:
@@ -102,7 +102,6 @@ def cmd_fit(args) -> int:
         "beta": fitted.bounds.beta,
         "zero_variance_vars": list(flagged),
         "wall_time_s": wall,
-        "peak_factor_bytes_estimate": 8 * basis.n_vars * (basis.rank + 2),
     }
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -196,18 +195,16 @@ def cmd_bench(args) -> int:
         raise UsageError("bench needs --repeats of at least 1", repeats=args.repeats)
     rng = np.random.default_rng(args.seed)
     raws = [dataset._adopt(values=rng.standard_normal((n, args.t))) for n in n_grid]
-    # round-robin, so that a host whose speed drifts reaches every size alike
-    best, ranks = [np.inf] * len(n_grid), [0] * len(n_grid)
+    # round-robin, so that a host whose speed drifts reaches every size alike;
+    # a closed-form fit costs the same at any rho
+    best = [np.inf] * len(n_grid)
     for _ in range(args.repeats):
         for i, raw in enumerate(raws):
             t0 = time.perf_counter()
-            basis = spectral.thin_svd(dataset.center(raw))
-            spectral.riccati_fit(basis, args.rho)
+            spectral.fit_path(dataset.center(raw), [1.0], "riccati")
             best[i] = min(best[i], time.perf_counter() - t0)
-            ranks[i] = basis.rank
-    rows = [(n, args.t, best[i], 8 * n * (ranks[i] + 2)) for i, n in enumerate(n_grid)]
-    _write_csv_rows(args.output, ("n", "t", "fit_seconds", "peak_factor_bytes"),
-                    rows)
+    _write_csv_rows(args.output, ("n", "t", "fit_seconds"),
+                    [(n, args.t, s) for n, s in zip(n_grid, best)])
     return 0
 
 
@@ -218,6 +215,16 @@ def _add_io_flags(p):
                    choices=["variables-as-rows", "samples-as-rows"])
 
 
+def _add_path_flags(p):
+    """The flags that ``_path`` reads, for both commands that run it."""
+    p.add_argument("--input", required=True)
+    p.add_argument("--method", default="riccati", choices=["riccati", "tikhonov"])
+    p.add_argument("--rho-grid", default=DEFAULT_RHO_GRID)
+    p.add_argument("--val", help="validation CSV that scores each rho of the grid")
+    p.add_argument("--standardize", action="store_true")
+    _add_io_flags(p)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specprec",
@@ -225,15 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", help="fit a precision model from a CSV dataset")
-    p.add_argument("--input", required=True)
+    _add_path_flags(p)
     p.add_argument("--output", required=True, help="model JSON path")
     p.add_argument("--report", help="fit report JSON path")
-    p.add_argument("--method", default="riccati", choices=["riccati", "tikhonov"])
     p.add_argument("--rho", type=float)
-    p.add_argument("--rho-grid", default=DEFAULT_RHO_GRID)
-    p.add_argument("--val", help="validation CSV used to select rho from the grid")
-    p.add_argument("--standardize", action="store_true")
-    _add_io_flags(p)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("eval", help="average negative log-likelihood on a test CSV")
@@ -245,13 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("path", help="regularization path summary CSV")
-    p.add_argument("--input", required=True)
+    _add_path_flags(p)
     p.add_argument("--output", required=True)
-    p.add_argument("--method", default="riccati", choices=["riccati", "tikhonov"])
-    p.add_argument("--rho-grid", default=DEFAULT_RHO_GRID)
-    p.add_argument("--val")
-    p.add_argument("--standardize", action="store_true")
-    _add_io_flags(p)
     p.set_defaults(func=cmd_path)
 
     p = sub.add_parser("sparsify", help="threshold a fitted model's basis")
@@ -276,12 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="results CSV")
     p.set_defaults(func=cmd_simulate)
 
-    about = ("fit-time scaling over a size grid, timed round-robin; every input is held "
-             "at once (8*T*sum(N) bytes, 31.5 MB by default)")
+    about = ("riccati fit-time scaling over a size grid, timed round-robin; every input "
+             "is held at once (8*T*sum(N) bytes, 31.5 MB by default)")
     p = sub.add_parser("bench", help=about, description=about)
     p.add_argument("--t", type=int, default=64)
     p.add_argument("--n-grid", default="4096,8192,16384,32768")
-    p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
@@ -290,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_error(code: int, exc: SpecprecError) -> None:
-    doc = {"code": code, "message": exc.message,
+def _emit_error(exc: SpecprecError) -> None:
+    doc = {"code": exc.exit_code, "message": exc.message,
            "context": {k: _jsonable(v) for k, v in exc.context.items()}}
     print(json.dumps(doc), file=sys.stderr)
 
@@ -308,18 +304,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        _emit_error(EXIT_USAGE, exc)
-        return EXIT_USAGE
-    except OSError as exc:  # a missing, unreadable or unwritable file
-        _emit_error(EXIT_DATA, DataError(str(exc)))
-        return EXIT_DATA
-    except DataError as exc:
-        _emit_error(EXIT_DATA, exc)
-        return EXIT_DATA
-    except NumericError as exc:
-        _emit_error(EXIT_NUMERIC, exc)
-        return EXIT_NUMERIC
+    except (SpecprecError, OSError) as exc:
+        if isinstance(exc, OSError):  # a missing, unreadable or unwritable file
+            exc = DataError(str(exc))
+        _emit_error(exc)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto stable exit codes: usage errors -> 2,
-data errors -> 3, numeric errors -> 4.
+Each error class carries the stable exit code that the CLI returns for it:
+usage errors 2, data errors 3, numeric errors 4.
 """
 
 
@@ -17,10 +17,16 @@ class SpecprecError(Exception):
 class UsageError(SpecprecError):
     """Bad flags / bad arguments at the API or CLI surface."""
 
+    exit_code = 2
+
 
 class DataError(SpecprecError):
     """Malformed input data: parse failures, ragged rows, schema violations."""
 
+    exit_code = 3
+
 
 class NumericError(SpecprecError):
     """Numeric contract violation: indefiniteness, invalid model state."""
+
+    exit_code = 4

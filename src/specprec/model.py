@@ -165,7 +165,7 @@ class LowRankPrecision:
     model is certified iff c - mu > 0.  d, c and the mean must be finite.
     """
 
-    basis_a: object  # ndarray or scipy sparse, N x r
+    basis_a: object  # ndarray, or scipy sparse of any format kept as CSR, N x r
     diag_d: np.ndarray
     c: float
     mean: np.ndarray
@@ -181,11 +181,14 @@ class LowRankPrecision:
         """Check the fields and set the flags; ``gram`` is A^T A, or None to
         sum it here in O(N r^2)."""
         a = self.basis_a
-        if not _is_sparse(a):
+        if _is_sparse(a):
+            # queries index rows, which COO and BSR cannot; a CSR input is kept
+            a = a.tocsr().astype(np.float64, copy=False)
+        else:
             a = np.asarray(a, dtype=np.float64)
             if a.ndim != 2:
                 raise DataError("basis must be a 2-d matrix")
-            object.__setattr__(self, "basis_a", a)
+        object.__setattr__(self, "basis_a", a)
         d = np.asarray(self.diag_d, dtype=np.float64).ravel()
         object.__setattr__(self, "diag_d", d)
         object.__setattr__(self, "c", float(self.c))
@@ -445,11 +448,10 @@ def important_edges(model: LowRankPrecision, epsilon: float, max_edges: int,
     pc = block / denom
     iu, ju = np.triu_indices(m, k=1)
     vals = pc[iu, ju]
-    keep = np.abs(vals) > epsilon
-    order = np.argsort(-np.abs(vals[keep]), kind="stable")
-    edges = [(int(candidates[iu[k]]), int(candidates[ju[k]]), float(vals[k]))
-             for k in np.flatnonzero(keep)[order]]
-    return edges[:max_edges]
+    kept = np.flatnonzero(np.abs(vals) > epsilon)
+    # a tuple only for each pair that is returned
+    order = kept[np.argsort(-np.abs(vals[kept]), kind="stable")[:max_edges]]
+    return [(int(candidates[iu[k]]), int(candidates[ju[k]]), float(vals[k])) for k in order]
 
 
 def materialize_dense(model: LowRankPrecision) -> np.ndarray:
@@ -527,7 +529,7 @@ def _load_basis(doc, n, r):
                           or cols.min() < 0 or cols.max() >= r):
             raise DataError("sparse basis index out of range")
         import scipy.sparse as sp
-        return sp.coo_matrix((vals, (rows, cols)), shape=(n, r)).tocsr()
+        return sp.coo_matrix((vals, (rows, cols)), shape=(n, r))
     arr = np.asarray(basis, dtype=np.float64)
     if arr.size == 0:
         arr = arr.reshape(n, 0)

@@ -120,9 +120,13 @@ def _recover_basis(x: np.ndarray, w: np.ndarray):
 def thin_svd(data: DataMatrix) -> SpectralBasis:
     """Thin SVD of centered data with rank truncation.
 
-    Singular values below max(N, T) * eps * s_max are dropped; the dropped
-    directions land in the isotropic c I term of any fitted model, which is
-    exactly the closed-form prescription for a zero covariance eigenvalue.
+    The LAPACK SVD drops singular values below max(N, T) * eps * s_max.  The
+    Gram path (N >= max(32 T, 1024)) applies that tolerance to the Gram
+    eigenvalues s^2, which carry rounding error of about eps * s_max^2, so
+    it drops s below sqrt(max(N, T) * eps) * s_max, 9.5e-7 * s_max at
+    N = 4096.  The dropped directions land in the isotropic c I term of any
+    fitted model, which is exactly the closed-form prescription for a zero
+    covariance eigenvalue.
     """
     if data.mean is None:
         raise UsageError("thin_svd requires centered data (mean present)")
@@ -142,8 +146,6 @@ def thin_svd(data: DataMatrix) -> SpectralBasis:
             w, v = np.linalg.eigh(g)
             w = w[::-1]
             v = v[:, ::-1]
-            # the Gram eigenvalues carry rounding error of about eps * w[0], so
-            # the rank tolerance applies to them, not to their square roots
             tol = max(n, t) * eps * w[0]
             if tol >= np.finfo(float).tiny:
                 keep = w > tol

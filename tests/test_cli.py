@@ -520,7 +520,8 @@ def test_out_of_range_counts_are_usage_errors(tmp_path, capsys):
                   "--max-edges", "-1", "--unimportant-out", str(outs[0]),
                   "--edges-out", str(outs[1])],
                  ["bench", "--t", "8", "--n-grid", "64", "--repeats", "0",
-                  "--output", str(outs[2])]):
+                  "--output", str(outs[2])],
+                 ["bench", "--t", "8", "--n-grid", "64,abc", "--output", str(outs[2])]):
         assert main(argv) == EXIT_USAGE
         assert json.loads(capsys.readouterr().err)["code"] == EXIT_USAGE
     assert not any(p.exists() for p in outs)
@@ -560,11 +561,10 @@ def test_bench_small_grid(tmp_path):
                "--output", str(out)])
     assert rc == 0
     rows = read_csv_rows(str(out))
-    assert rows[0] == ["n", "t", "fit_seconds", "peak_factor_bytes"]
+    assert rows[0] == ["n", "t", "fit_seconds"]
     assert [int(r[0]) for r in rows[1:]] == [64, 128]
     for r in rows[1:]:
         assert float(r[2]) > 0
-        assert int(r[3]) <= 64 * int(r[0]) * int(r[1])
 
 
 def test_missing_input_file_is_data_error(tmp_path, capsys):
@@ -711,6 +711,42 @@ def test_disproved_orthonormal_claim_is_data_error(tmp_path, capsys):
     assert err["context"]["detail"] == "model basis is not orthonormal"
 
 
+@pytest.mark.parametrize("basis, message", [
+    ({"rows": [0], "cols": [0]}, "sparse basis missing key"),
+    ({"rows": [0, 1], "cols": [0], "vals": [1.0]}, "sparse basis arrays must have equal length"),
+    ({"rows": [2], "cols": [0], "vals": [1.0]}, "sparse basis index out of range"),
+    ({"rows": [0], "cols": [1], "vals": [1.0]}, "sparse basis index out of range"),
+])
+def test_malformed_sparse_basis_is_data_error(tmp_path, capsys, basis, message):
+    model_path = tmp_path / "bad.json"
+    doc = {"format_version": 1, "n": 2, "r": 1, "c": 1.0, "orthonormal": False,
+           "mean": [0.0, 0.0], "diag": [-0.5], "basis": basis}
+    model_path.write_text(json.dumps(doc))
+    data_path = tmp_path / "d.csv"
+    data_path.write_text("0,1\n1,0\n")
+    rc = main(["eval", "--model", str(model_path), "--input", str(data_path),
+               "--output", str(tmp_path / "o.csv")])
+    assert rc == EXIT_DATA
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == EXIT_DATA and err["message"] == message
+
+
+def test_sparsifying_a_sparsified_model_is_usage_error(tmp_path, capsys):
+    # a thresholded basis is no longer orthonormal, and the sparsification
+    # guarantees hold only for an orthonormal one
+    model_path, sparse_path = tmp_path / "m.json", tmp_path / "s.json"
+    assert main(["fit", "--input", SMALL, "--output", str(model_path), "--rho", "0.5"]) == 0
+    assert main(["sparsify", "--model", str(model_path), "--mode", "hard",
+                 "--lambda", "0.5", "--output", str(sparse_path)]) == 0
+    out = tmp_path / "again.json"
+    rc = main(["sparsify", "--model", str(sparse_path), "--lambda", "0.5",
+               "--output", str(out)])
+    assert rc == EXIT_USAGE
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == EXIT_USAGE and "orthonormal" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "screen"])
 @pytest.mark.parametrize("c, basis", [(float("inf"), [[2.0], [0.0]]),
                                       (1.0, [[float("nan")], [0.0]])])
@@ -738,6 +774,7 @@ def test_non_finite_model_file_fails_cleanly(tmp_path, capsys, command, c, basis
 @pytest.mark.parametrize("argv", [
     ["--threads", "2", "fit", "--input", SMALL, "--output", "m.json", "--rho", "1.0"],
     ["fit", "--seed", "0", "--input", SMALL, "--output", "m.json", "--rho", "1.0"],
+    ["bench", "--t", "8", "--n-grid", "64", "--rho", "1.0", "--output", "b.csv"],
 ])
 def test_removed_flags_are_usage_errors(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

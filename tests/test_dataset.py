@@ -225,6 +225,18 @@ def test_finite_check_locates_the_bad_entry(rng, bad):
         assert DataMatrix(values=[[1e308, 1e308]]).values[0, 1] == 1e308
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"mean": np.zeros(2)}, "mean length must equal the number of variables"),
+    ({"mean": np.zeros(3), "values": [[1.0, -1.0], [0.5, -0.5], [1.0, 0.0]]},
+     "centered rows must sum to zero"),
+    ({"variable_names": ("a", "b")}, "variable_names length must equal the number of variables"),
+])
+def test_constructor_refuses_inconsistent_metadata(fields, message):
+    with pytest.raises(DataError) as exc:
+        DataMatrix(**{"values": np.zeros((3, 2)), **fields})
+    assert exc.value.message == message
+
+
 def test_constructor_and_center_peaks_are_one_copy(rng):
     import tracemalloc
 

@@ -346,6 +346,32 @@ def test_csr_basis_gives_its_dense_copys_results_bit_for_bit(rng):
         assert same(gaussian_kl(p_cov, m_csr, p_mean), gaussian_kl(p_cov, m_dense, p_mean))
 
 
+@pytest.mark.parametrize("fmt", ["coo", "csc", "dok", "lil", "bsr"])
+def test_non_csr_basis_gives_the_csr_models_results_bit_for_bit(rng, fmt):
+    def same(x, y):
+        x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+        return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    n, r = _ROW_BLOCK + 37, 6
+    csr = sp.random(n, r, density=0.3, format="csr", random_state=8)
+    d, mean = rng.uniform(1e-3, 1e-2, r), rng.standard_normal(n)
+    m_csr, m_other = (LowRankPrecision(basis_a=b, diag_d=d, c=1.0, mean=mean)
+                      for b in (csr, csr.asformat(fmt)))
+    assert m_csr.basis_a is csr and m_other.basis_a.format == "csr"
+    assert same(m_csr.logdet, m_other.logdet)
+    xs = rng.standard_normal((n, 5))
+    assert same(average_log_likelihood(m_csr, xs), average_log_likelihood(m_other, xs))
+    assert same(partial_correlation(m_csr, 3, n - 2), partial_correlation(m_other, 3, n - 2))
+    p1, p2 = np.arange(0, n, 2), np.arange(1, n, 2)
+    x2 = rng.standard_normal(p2.size)
+    assert same(conditional(m_csr, p1, p2, x2)[0], conditional(m_other, p1, p2, x2)[0])
+    (s_csr, q_csr), (s_other, q_other) = (screen_unimportant(m, 0.01) for m in (m_csr, m_other))
+    assert same(q_csr, q_other) and np.array_equal(s_csr, s_other)
+    eps = float(np.sort(q_csr)[-150])
+    edges = [important_edges(m, eps, 500) for m in (m_csr, m_other)]
+    assert edges[0] == edges[1] and len(edges[0]) > 0
+
+
 def test_average_loglik_rejects_mismatched_samples(rng):
     m = random_orthonormal_model(rng, 6, 2)
     with pytest.raises(UsageError):
@@ -501,6 +527,14 @@ def test_important_edges_ordering(rng):
     assert mags == sorted(mags, reverse=True)
     assert all(n1 < n2 for n1, n2, _ in edges)
     assert len({(n1, n2) for n1, n2, _ in edges}) == len(edges)
+
+
+def test_important_edges_are_the_full_sorted_list_truncated(rng):
+    m = random_orthonormal_model(rng, 200, 5)
+    full = important_edges(m, 1e-6, 200 * 199 // 2)
+    assert len(full) > 19000
+    for max_edges in (0, 1, 7, 500):
+        assert important_edges(m, 1e-6, max_edges) == full[:max_edges]
 
 
 def test_materialize_examples():

@@ -72,6 +72,21 @@ def test_thin_svd_gram_path_drops_null_direction(rng):
         assert thin_svd(center(DataMatrix(values=x))).rank <= 47
 
 
+def test_thin_svd_rank_tolerance_of_each_path(rng, monkeypatch):
+    # singular values [1, 1e-7]: the Gram path's tolerance on s^2 drops s
+    # below sqrt(4096 eps) = 9.5e-7, LAPACK's drops s below 4096 eps = 9.1e-13
+    n, t = 4096, 5
+    u, _ = np.linalg.qr(rng.standard_normal((n, 2)))
+    q, _ = np.linalg.qr(np.column_stack([np.ones(t), rng.standard_normal((t, 2))]))
+    x = u @ np.diag([1.0, 1e-7]) @ q[:, 1:].T  # rows orthogonal to ones: centred
+    d = center(DataMatrix(values=x))
+    assert thin_svd(d).rank == 1
+    monkeypatch.setattr(spectral, "_GRAM_MIN_N", 10**9)
+    lapack = thin_svd(d)
+    assert lapack.rank == 2
+    np.testing.assert_allclose(lapack.data_singvals, [1.0, 1e-7], rtol=1e-6)
+
+
 @pytest.mark.parametrize("n", [4096, 9001])
 def test_thin_svd_gram_path_matches_svd_over_row_blocks(rng, n):
     # U is recovered and re-orthonormalized one block of rows at a time,
