@@ -305,18 +305,25 @@ def average_log_likelihood(model: LowRankPrecision, samples) -> float:
                                                      model.diag_d, model.c))
 
 
+def _indices(n: int, idx, what: str) -> np.ndarray:
+    """Variable indices as a 1-d intp array: the one check of every index a
+    query takes, refusing a non-integer dtype or an entry outside [0, N)."""
+    idx = np.asarray(idx).ravel()
+    if idx.size and not np.issubdtype(idx.dtype, np.integer):
+        raise UsageError(f"{what} must be integer indices", dtype=str(idx.dtype))
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise UsageError(f"{what} out of range", n=n)
+    return idx.astype(np.intp, copy=False)
+
+
 def _check_partition(n: int, part1, part2):
-    p1 = np.asarray(part1, dtype=np.intp)
-    p2 = np.asarray(part2, dtype=np.intp)
-    seen = np.zeros(n, dtype=bool)
-    for p in (p1, p2):
-        if p.size and (p.min() < 0 or p.max() >= n):
-            raise UsageError("partition index out of range", n=n)
-        if np.any(seen[p]):
-            raise UsageError("partition sets overlap")
-        seen[p] = True
-    if not seen.all():
-        raise UsageError("partition does not cover all variables")
+    """Both parts as index arrays; each variable must occur once in the two."""
+    p1 = _indices(n, part1, "partition index")
+    p2 = _indices(n, part2, "partition index")
+    counts = np.bincount(np.concatenate([p1, p2]), minlength=n)
+    bad = np.flatnonzero(counts != 1)[:1]
+    if bad.size:
+        raise UsageError("each variable must be in exactly one part, once", variable=int(bad[0]))
     return p1, p2
 
 
@@ -354,22 +361,26 @@ def conditional(model: LowRankPrecision, part1, part2, x2):
     return mu_1_given_2, cond
 
 
+def _partial_correlations(model: LowRankPrecision, rows: np.ndarray) -> np.ndarray:
+    """|rows| x |rows| partial correlations omega_ij / sqrt(omega_ii omega_jj),
+    from the Omega block (A_rows D) A_rows^T and its diagonal plus c, in
+    O(|rows|^2 r): the one formula behind ``partial_correlation`` and
+    ``important_edges``."""
+    a = _dense(model.basis_a[rows])
+    block = (a * model.diag_d[None, :]) @ a.T
+    diag = block.diagonal() + model.c
+    if not np.all(diag > 0.0):  # written so that NaN fails it
+        raise NumericError("non-positive diagonal precision entry")
+    return block / np.sqrt(np.outer(diag, diag))
+
+
 def partial_correlation(model: LowRankPrecision, n1: int, n2: int) -> float:
     """Signed partial correlation omega_12 / sqrt(omega_11 omega_22) in O(r)."""
     model._require_pd("partial_correlation")
-    n = model.n_vars
-    if not (0 <= n1 < n and 0 <= n2 < n):
-        raise UsageError("variable index out of range", n=n, n1=n1, n2=n2)
-    if n1 == n2:
+    pair = _indices(model.n_vars, [n1, n2], "variable index")
+    if pair[0] == pair[1]:
         raise UsageError("partial correlation needs two distinct variables")
-    a1, a2 = _dense(model.basis_a[[n1, n2]])
-    d = model.diag_d
-    off = float(np.sum(d * a1 * a2))
-    d1 = float(np.sum(d * a1 * a1) + model.c)
-    d2 = float(np.sum(d * a2 * a2) + model.c)
-    if not (d1 > 0.0 and d2 > 0.0):  # written so that NaN fails it
-        raise NumericError("non-positive diagonal precision entry")
-    return off / np.sqrt(d1 * d2)
+    return float(_partial_correlations(model, pair)[0, 1])
 
 
 def _require_epsilon(epsilon) -> None:
@@ -426,26 +437,16 @@ def important_edges(model: LowRankPrecision, epsilon: float, max_edges: int,
     """
     model._require_pd("important_edges")
     _require_epsilon(epsilon)
-    if max_edges < 0:
-        raise UsageError("max_edges must be nonnegative", max_edges=max_edges)
+    if not isinstance(max_edges, (int, np.integer)) or max_edges < 0:
+        raise UsageError("max_edges must be a nonnegative integer", max_edges=max_edges)
     if candidates is None:
         candidates = np.setdiff1d(np.arange(model.n_vars), screen_unimportant(model, epsilon)[0])
     else:
-        candidates = np.asarray(candidates).ravel()
-        if candidates.size and not np.issubdtype(candidates.dtype, np.integer):
-            raise UsageError("edge candidates must be integer indices",
-                             dtype=str(candidates.dtype))
-        if candidates.size and (candidates.min() < 0 or candidates.max() >= model.n_vars):
-            raise UsageError("edge candidate out of range", n=model.n_vars)
-        candidates = np.unique(candidates).astype(np.intp)
+        candidates = np.unique(_indices(model.n_vars, candidates, "edge candidate"))
     m = candidates.size
-    if m < 2 or model.rank == 0:
+    if m < 2:
         return []
-    a = _dense(model.basis_a[candidates])
-    block = (a * model.diag_d[None, :]) @ a.T
-    diag = block.diagonal() + model.c
-    denom = np.sqrt(np.outer(diag, diag))
-    pc = block / denom
+    pc = _partial_correlations(model, candidates)
     iu, ju = np.triu_indices(m, k=1)
     vals = pc[iu, ju]
     kept = np.flatnonzero(np.abs(vals) > epsilon)
@@ -568,10 +569,6 @@ def load_model_with_rho(path):
         rho = float(doc["rho"]) if doc.get("rho") is not None else None
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError("model schema violation", detail=str(exc)) from None
-    if mean.shape != (n,):
-        raise DataError("mean length mismatch", expected=n, got=mean.shape)
-    if diag.shape != (r,):
-        raise DataError("diag length mismatch", expected=r, got=diag.shape)
     basis = _load_basis(doc, n, r)
     bounds = None
     if "bounds" in doc:

@@ -252,7 +252,9 @@ def gaussian_kl(p_cov: FactoredCovariance, q_model: LowRankPrecision,
                + c * dp.sum() + c * iso * n)
     logdet_p = p_cov.logdet()
     logdet_q = q_model.logdet
-    p_mu = np.zeros(n) if p_mean is None else np.asarray(p_mean, dtype=np.float64)
+    p_mu = np.zeros(n) if p_mean is None else np.asarray(p_mean, dtype=np.float64).ravel()
+    if p_mu.shape != (n,):
+        raise UsageError("p_mean must be an N-vector", n=n, got=np.shape(p_mean))
     mean_term = float(_mean_quadratic_form(q_model.basis_a, p_mu.reshape(n, 1),
                                            q_model.mean, dq, c))
     kl = 0.5 * (tr - n - logdet_p - logdet_q + mean_term)

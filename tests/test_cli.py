@@ -42,6 +42,16 @@ def test_readme_cli_examples_parse():
             parse_rho_grid(argv[argv.index("--rho-grid") + 1])
 
 
+def test_readme_library_example_runs():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library overview", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    assert scope["mu"].shape == (3,) and scope["prec"].n_vars == 3
+    assert np.isfinite(scope["ll"]) and scope["chosen"].pd_certified
+    assert scope["sparse"].pd_certified
+
+
 def test_parse_rho_grid_log():
     grid = parse_rho_grid("0.01:1:log:3")
     np.testing.assert_allclose(grid, [0.01, 0.1, 1.0])

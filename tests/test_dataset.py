@@ -420,3 +420,24 @@ def test_write_csv_refuses_delimiters_a_value_could_contain(tmp_path, delimiter)
     with pytest.raises(UsageError):
         write_csv(DataMatrix(values=[[1.0]]), tmp_path / "x.csv", delimiter=delimiter)
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda d, p: split(d, (0.5, 0.5), seed=0), UsageError, id="two-fractions"),
+    pytest.param(lambda d, p: split(d, (0.6, 0.4, 0.0), seed=0), UsageError, id="zero-fraction"),
+    pytest.param(lambda d, p: split(d, (0.5, 0.3, 0.3), seed=0), UsageError, id="sum>1"),
+    pytest.param(lambda d, p: split(DataMatrix(values=np.ones((3, 2))), (0.4, 0.3, 0.3), seed=0),
+                 UsageError, id="two-samples"),
+    pytest.param(lambda d, p: load_csv(p, orientation="columns"), UsageError,
+                 id="load-orientation"),
+    pytest.param(lambda d, p: write_csv(d, p, orientation="rows"), UsageError,
+                 id="write-orientation"),
+    pytest.param(lambda d, p: DataMatrix(values=np.ones(3)), DataError, id="1-d-values"),
+    pytest.param(lambda d, p: DataMatrix(values=np.ones((0, 3))), DataError, id="no-rows"),
+])
+def test_dataset_argument_checks(tmp_path, call, error):
+    path = tmp_path / "x.csv"
+    data = DataMatrix(values=np.arange(20.0).reshape(2, 10))
+    write_csv(data, path)
+    with pytest.raises(error):
+        call(data, path)

@@ -193,10 +193,50 @@ def test_conditional_dense_oracle(rng):
 
 def test_conditional_rejects_bad_partition(rng):
     m = random_orthonormal_model(rng, 6, 2)
-    with pytest.raises(UsageError):
-        conditional(m, [0, 1], [1, 2, 3, 4, 5], np.zeros(5))
-    with pytest.raises(UsageError):
-        conditional(m, [0, 1], [3, 4, 5], np.zeros(3))
+    for part1, part2 in (
+        ([0, 1], [1, 2, 3, 4, 5]),        # overlap
+        ([0, 1], [3, 4, 5]),              # 2 is in neither part
+        ([0, 1, 1], [2, 3, 4, 5]),        # repeated inside part1
+        ([0, 1], [2, 3, 3, 4, 5]),        # repeated inside part2
+        ([0, 1, 5], [2, 3, 4, 5, 5]),     # repeated across and inside the parts
+        ([0, 1], [2.9, 3.2, 4.0, 5.0]),   # float indices used to be truncated
+        ([0, 1], np.array([2, 3, 4, 5], dtype=float)),
+        ([True, False], [2, 3, 4, 5]),
+    ):
+        with pytest.raises(UsageError):
+            conditional(m, part1, part2, np.zeros(len(part2)))
+
+
+def test_conditional_takes_any_integer_sequence(rng):
+    m = random_orthonormal_model(rng, 6, 2, mean=rng.standard_normal(6))
+    x2 = rng.standard_normal(4)
+    want, _ = conditional(m, [0, 1], [2, 3, 4, 5], x2)
+    for p1, p2 in ((range(2), range(2, 6)), (np.array([0, 1], dtype=np.int32),
+                                             np.array([2, 3, 4, 5], dtype=np.uint8))):
+        np.testing.assert_array_equal(conditional(m, p1, p2, x2)[0], want)
+
+
+def _non_orthonormal_model(d, c):
+    return LowRankPrecision(basis_a=np.array([[2.0], [0.0]]), diag_d=np.array([d]), c=c,
+                            mean=np.zeros(2))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda m: conditional(m, [0, 6], [1, 2, 3, 4, 5], np.zeros(5)), UsageError),
+    (lambda m: conditional(m, [0, -1], [1, 2, 3, 4, 5], np.zeros(5)), UsageError),
+    (lambda m: conditional(m, [0, 1], [2, 3, 4, 5], np.zeros(3)), UsageError),
+    (lambda m: LowRankPrecision(basis_a=np.zeros(3), diag_d=np.zeros(0), c=1.0,
+                                mean=np.zeros(3)), DataError),
+    (lambda m: LowRankPrecision(basis_a=np.zeros((0, 1)), diag_d=np.zeros(1), c=1.0,
+                                mean=np.zeros(0)), DataError),
+    (lambda m: _non_orthonormal_model(1.0, 0.0).logdet, NumericError),
+    (lambda m: _non_orthonormal_model(1.0, -0.5).logdet, NumericError),
+    (lambda m: _non_orthonormal_model(-1.0, 1.0).logdet, NumericError),  # det term -3
+])
+def test_model_input_checks(rng, call, error):
+    m = random_orthonormal_model(rng, 6, 2)
+    with pytest.raises(error):
+        call(m)
 
 
 # -- conditional and average_log_likelihood read the basis in row blocks ------
@@ -429,10 +469,9 @@ def test_partial_correlation_symmetric_and_zero_for_iso(rng):
 
 def test_partial_correlation_index_errors(rng):
     m = random_orthonormal_model(rng, 4, 2)
-    with pytest.raises(UsageError):
-        partial_correlation(m, 0, 4)
-    with pytest.raises(UsageError):
-        partial_correlation(m, 2, 2)
+    for n1, n2 in ((0, 4), (-1, 2), (2, 2), (1.5, 2), (1, 2.0)):
+        with pytest.raises(UsageError):
+            partial_correlation(m, n1, n2)
 
 
 def test_partial_correlation_refuses_nan_basis():
@@ -503,8 +542,10 @@ def test_important_edges_validates_candidates(rng):
             important_edges(m, 1e-6, 1000, candidates=bad)
     # a negative cap used to drop the last edge silently
     assert len(important_edges(m, 1e-6, 0)) == 0
-    with pytest.raises(UsageError):
-        important_edges(m, 1e-6, -1)
+    assert important_edges(m, 1e-6, np.int64(2)) == important_edges(m, 1e-6, 2)
+    for bad in (-1, 2.5, 2.0, "3", None):
+        with pytest.raises(UsageError):
+            important_edges(m, 1e-6, bad)
 
 
 @pytest.mark.parametrize("epsilon", [np.nan, np.inf, 0.0, -1.0])
@@ -705,6 +746,23 @@ def test_load_rejects_invalid(tmp_path, mutate):
     path.write_text(json.dumps(doc))
     with pytest.raises(DataError):
         load_model(path)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("mean", [0.0], "mean length must match N"),
+    ("mean", [0.0, 0.0, 0.0], "mean length must match N"),
+    ("diag", [-0.5, -0.2], "diag length must match basis width"),
+    ("diag", [], "diag length must match basis width"),
+])
+def test_load_refuses_wrong_lengths_in_the_constructor(tmp_path, key, value, message):
+    doc = {"format_version": 1, "n": 2, "r": 1, "c": 1.0, "orthonormal": True,
+           "mean": [0.0, 0.0], "diag": [-0.5], "basis": [[1.0], [0.0]]}
+    doc[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError) as info:
+        load_model(path)
+    assert info.value.message == message
 
 
 @pytest.mark.parametrize("key, value", NON_FINITE)

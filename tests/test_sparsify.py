@@ -374,3 +374,13 @@ def test_sparsify_peak_is_below_the_basis_bytes():
         tracemalloc.stop()
     assert 0.2 < sm.basis_a.nnz / m.basis_a.size < 0.8
     assert peak <= 1.0 * m.basis_a.nbytes
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: _threshold(np.eye(8)[:, :2], 0.5, "medium"), id="threshold-mode"),
+    pytest.param(lambda: kl_degradation_bound(0.5, -1.0, 1.0), id="kl-moment<0"),
+    pytest.param(lambda: kl_degradation_bound(0.5, 1.0, -1.0), id="kl-gap<0"),
+])
+def test_sparsify_argument_checks(call):
+    with pytest.raises(UsageError):
+        call()

@@ -536,3 +536,26 @@ def test_isotropic_fit(rng):
     assert iso.rank == 0
     cov_trace = np.trace(sample_cov(d))
     assert abs(iso.c - 6 / cov_trace) < 1e-10
+
+
+def _basis(u, s, d, n_samples):
+    return SpectralBasis(basis_u=u, data_singvals=s, cov_eigvals=d, n_vars=u.shape[0],
+                         n_samples=n_samples, mean=np.zeros(u.shape[0]))
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: eigen_bounds(1.0, 0.5, "lasso"), UsageError, id="unknown-method"),
+    pytest.param(lambda: isotropic_fit(thin_svd(center(DataMatrix(values=np.zeros((4, 3)))))),
+                 NumericError, id="isotropic-zero-data"),
+    pytest.param(lambda: _basis(np.eye(3)[:, :2], [2.0], [1.0], 5), NumericError,
+                 id="basis-width"),
+    pytest.param(lambda: _basis(np.eye(3)[:, :2], [2.0, 1.0], [1.0], 5), NumericError,
+                 id="eigval-count"),
+    pytest.param(lambda: _basis(np.eye(3)[:, :2], [2.0, 1.0], [1.0, 0.5], 1), NumericError,
+                 id="rank>T"),
+    pytest.param(lambda: _basis(np.eye(4)[:3], [2.0] * 4, [1.0] * 4, 5), NumericError,
+                 id="rank>N"),
+])
+def test_spectral_argument_checks(call, error):
+    with pytest.raises(error):
+        call()

@@ -7,6 +7,7 @@ from specprec import (LowRankPrecision, NumericError, SpikedModel, UsageError,
                       recommend_rho, riccati_fit, sample, sparsify_model,
                       thin_svd, true_covariance, true_precision,
                       true_precision_frob, center)
+from specprec.spiked import FactoredCovariance
 from oracle import dense_kl
 
 
@@ -210,7 +211,6 @@ def test_gaussian_kl_self_zero():
 
 def test_gaussian_kl_isotropic_formula():
     a, b, n = 2.0, 0.4, 6
-    from specprec.spiked import FactoredCovariance
     p = FactoredCovariance(basis_u=np.zeros((n, 0)), diag_d=np.zeros(0), iso=a)
     q = LowRankPrecision(basis_a=np.zeros((n, 0)), diag_d=np.zeros(0), c=b,
                          mean=np.zeros(n))
@@ -246,7 +246,6 @@ def test_gaussian_kl_mean_term_is_the_likelihood_quadratic_form(rng):
 
 
 def test_gaussian_kl_refuses_non_finite_inputs():
-    from specprec.spiked import FactoredCovariance
     n = 3
     p = FactoredCovariance(basis_u=np.zeros((n, 0)), diag_d=np.zeros(0), iso=1.0)
     # a NaN basis leaves the model uncertified, so it is refused before any
@@ -269,3 +268,65 @@ def test_gaussian_kl_nonnegative_on_random_pairs(rng):
         data = center(sample(truth, 10, "gaussian", seed=seed + 100))
         model = riccati_fit(thin_svd(data), 1.0)
         assert gaussian_kl(true_covariance(truth), model) >= 0.0
+
+
+def _kl_pair(n=20):
+    p = FactoredCovariance(basis_u=np.zeros((n, 0)), diag_d=np.zeros(0), iso=1.0)
+    q = LowRankPrecision(basis_a=np.zeros((n, 0)), diag_d=np.zeros(0), c=1.0,
+                         mean=np.zeros(n))
+    return p, q
+
+
+@pytest.mark.parametrize("p_mean", [np.zeros(21), np.zeros((20, 2)), np.zeros(19), 0.0])
+def test_gaussian_kl_refuses_a_p_mean_that_is_not_an_n_vector(p_mean):
+    p, q = _kl_pair()
+    with pytest.raises(UsageError):
+        gaussian_kl(p, q, p_mean)
+
+
+def test_gaussian_kl_reads_a_column_p_mean_as_its_vector():
+    p, q = _kl_pair()
+    p_mean = np.linspace(-1.0, 1.0, 20)
+    assert gaussian_kl(p, q, p_mean[:, None]) == gaussian_kl(p, q, p_mean) > 0.0
+
+
+_EYE = np.eye(4)
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: SpikedModel(_EYE[:2], np.ones(4), 1.0, 0), UsageError, id="K>N"),
+    pytest.param(lambda: SpikedModel(_EYE[:, :2], [1.0, 0.0], 1.0, 0), NumericError, id="d=0"),
+    pytest.param(lambda: SpikedModel(_EYE[:, :2], [1.0, np.nan], 1.0, 0), NumericError,
+                 id="d-nan"),
+    pytest.param(lambda: SpikedModel(_EYE[:, :2], [1.0], 1.0, 0), NumericError, id="d-length"),
+    pytest.param(lambda: SpikedModel(_EYE[:, :2], [1.0, 1.0], 0.0, 0), NumericError,
+                 id="beta=0"),
+    pytest.param(lambda: SpikedModel(_EYE[:, :2], [1.0, 1.0], np.inf, 0), NumericError,
+                 id="beta-inf"),
+    pytest.param(lambda: random_spiked(10, 0, 1.0, 0.5, seed=0), UsageError, id="k=0"),
+    pytest.param(lambda: random_spiked(3, 4, 1.0, 0.5, seed=0), UsageError, id="k>n"),
+    pytest.param(lambda: random_spiked(10, 2, 1.0, 0.0, seed=0), UsageError, id="density=0"),
+    pytest.param(lambda: random_spiked(10, 2, 1.0, 1.5, seed=0), UsageError, id="density>1"),
+    pytest.param(lambda: sample(random_spiked(10, 2, 1.0, 0.2, seed=0), 0), UsageError,
+                 id="sample-t=0"),
+    pytest.param(lambda: FactoredCovariance(basis_u=np.zeros((2001, 0)), diag_d=np.zeros(0),
+                                            iso=1.0).materialize(), UsageError,
+                 id="materialize-guard"),
+    pytest.param(lambda: concentration_gamma(2, 1.0, 1.0, 10, 0, 0.1), UsageError,
+                 id="gamma-t=0"),
+    pytest.param(lambda: concentration_gamma(2, 1.0, 1.0, 10, 5, 0.0), UsageError,
+                 id="gamma-delta=0"),
+    pytest.param(lambda: concentration_gamma(2, 1.0, 1.0, 10, 5, 1.0), UsageError,
+                 id="gamma-delta=1"),
+    pytest.param(lambda: concentration_gamma(2, -1.0, 1.0, 10, 5, 0.1), UsageError,
+                 id="gamma-d_frob<0"),
+    pytest.param(lambda: concentration_gamma(2, 1.0, -1.0, 10, 5, 0.1), UsageError,
+                 id="gamma-beta<0"),
+    pytest.param(lambda: kl_excess_bound(0.0, 1.0), UsageError, id="kl-bound-gamma=0"),
+    pytest.param(lambda: kl_excess_bound(1.0, -1.0), UsageError, id="kl-bound-norm<0"),
+    pytest.param(lambda: gaussian_kl(_kl_pair(20)[0], _kl_pair(21)[1]), UsageError,
+                 id="kl-dimension-mismatch"),
+])
+def test_spiked_argument_checks(call, error):
+    with pytest.raises(error):
+        call()
